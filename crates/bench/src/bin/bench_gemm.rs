@@ -1,9 +1,9 @@
 //! The perf-trajectory runner: times quantize (fake vs packed, per rounding
 //! mode), decode, all six GEMM orientations and an end-to-end training step
 //! at model-realistic shapes, each kernel against its frozen PR-4
-//! predecessor (`snip_bench::legacy`), plus a per-backend GEMM matrix with
-//! the dispatch pinned to each compiled SIMD tier in turn, and writes
-//! machine-readable `BENCH_gemm.json` at the repo root.
+//! predecessor (`snip_bench::legacy`), plus per-backend GEMM and quantize
+//! matrices with the dispatch pinned to each compiled SIMD tier in turn,
+//! and writes machine-readable `BENCH_gemm.json` at the repo root.
 //!
 //! ```text
 //! cargo run --release -p snip-bench --bin bench_gemm            # full run
@@ -15,8 +15,8 @@
 //! every section is present with finite, positive timings and speedups —
 //! the CI gate that keeps the trajectory from silently rotting. Before any
 //! kernel is timed, its legacy and current results are asserted
-//! bit-identical on the benched operands, so a recorded speedup can never
-//! compare different math.
+//! bit-identical on the benched operands (and every backend tier's against
+//! forced scalar), so a recorded speedup can never compare different math.
 
 use serde::{Deserialize, Serialize};
 use snip_bench::legacy;
@@ -84,6 +84,20 @@ struct BackendRow {
     gflops: f64,
 }
 
+/// One cell of the per-backend quantize matrix: one packing path (format ×
+/// rounding) timed with the dispatch pinned to one compiled tier. Before
+/// timing, every tier's packed codes, scale bits and next RNG draw are
+/// asserted identical to the forced-scalar encode's.
+#[derive(Debug, Serialize, Deserialize)]
+struct BackendQuantizeRow {
+    backend: String,
+    name: String,
+    shape: String,
+    rounding: String,
+    packed_ms: f64,
+    ns_per_elem: f64,
+}
+
 /// One quantize measurement: the fused packed path against the fake-quant
 /// (dequantized `Tensor` output) path over the same input and rounding mode.
 /// `ratio` is `packed_ms / fake_ms` — the packed path also *packs* codes, so
@@ -114,9 +128,21 @@ struct Report {
     backend_gemm: Vec<BackendRow>,
     decode: Vec<KernelRow>,
     quantize: Vec<QuantizeRow>,
+    backend_quantize: Vec<BackendQuantizeRow>,
     small_gemm: Vec<SmallGemmRow>,
     train_step: TrainStep,
 }
+
+/// The report layout version `--check` accepts.
+const SCHEMA: u64 = 4;
+
+/// The packing paths the per-backend quantize matrix times, per tier.
+const QUANTIZE_PATHS: [(Precision, snip_quant::Rounding); 4] = [
+    (Precision::Fp4, snip_quant::Rounding::Nearest),
+    (Precision::Fp4, snip_quant::Rounding::Stochastic),
+    (Precision::Fp8, snip_quant::Rounding::Nearest),
+    (Precision::Fp8, snip_quant::Rounding::Stochastic),
+];
 
 /// The six GEMM kernels every report must carry.
 const KERNELS: [&str; 6] = [
@@ -220,6 +246,7 @@ fn run(smoke: bool) -> Report {
     let mut gemm = Vec::new();
     let mut decode = Vec::new();
     let mut quantize = Vec::new();
+    let mut backend_quantize = Vec::new();
     let mut seen_act_shapes = std::collections::HashSet::new();
 
     for &(tokens, d_out, d_in) in shapes {
@@ -319,30 +346,26 @@ fn run(smoke: bool) -> Report {
         // dequantized grid), so `ratio` near 1.0 shows the single-pass fused
         // sweep — for stochastic rounding in particular, that the SR encode
         // costs no second pass over the data.
-        for p in [Precision::Fp4, Precision::Fp8] {
-            for rounding in [
-                snip_quant::Rounding::Nearest,
-                snip_quant::Rounding::Stochastic,
-            ] {
-                let quantizer = p
-                    .quantizer_with_group(TensorRole::Input, 128)
-                    .with_rounding(rounding);
-                let mut frng = Rng::seed_from(11);
-                let fake_ms = time_best_ms(reps, || quantizer.fake_quantize(&x, &mut frng));
-                let mut qrng = Rng::seed_from(11);
-                let packed_ms = time_best_ms(reps, || {
-                    quantizer.quantize_packed(&x, &mut qrng).expect("packable")
-                });
-                quantize.push(QuantizeRow {
-                    name: format!("quantize_{p}"),
-                    shape: format!("{tokens}x{d_in}"),
-                    rounding: format!("{rounding:?}").to_lowercase(),
-                    fake_ms,
-                    packed_ms,
-                    ratio: packed_ms / fake_ms,
-                });
-            }
+        for (p, rounding) in QUANTIZE_PATHS {
+            let quantizer = p
+                .quantizer_with_group(TensorRole::Input, 128)
+                .with_rounding(rounding);
+            let mut frng = Rng::seed_from(11);
+            let fake_ms = time_best_ms(reps, || quantizer.fake_quantize(&x, &mut frng));
+            let mut qrng = Rng::seed_from(11);
+            let packed_ms = time_best_ms(reps, || {
+                quantizer.quantize_packed(&x, &mut qrng).expect("packable")
+            });
+            quantize.push(QuantizeRow {
+                name: format!("quantize_{p}"),
+                shape: format!("{tokens}x{d_in}"),
+                rounding: format!("{rounding:?}").to_lowercase(),
+                fake_ms,
+                packed_ms,
+                ratio: packed_ms / fake_ms,
+            });
         }
+        backend_quantize.extend(backend_quantize_sweep(&x, reps));
     }
 
     let backend_gemm = backend_gemm_sweep(shapes, reps, &mut rng);
@@ -357,7 +380,7 @@ fn run(smoke: bool) -> Report {
     let ms_per_step = t0.elapsed().as_secs_f64() * 1e3 / steps as f64;
 
     Report {
-        schema: 3,
+        schema: SCHEMA,
         generated_by: "bench_gemm".to_string(),
         smoke,
         machine,
@@ -365,6 +388,7 @@ fn run(smoke: bool) -> Report {
         backend_gemm,
         decode,
         quantize,
+        backend_quantize,
         small_gemm,
         train_step: TrainStep { steps, ms_per_step },
     }
@@ -416,6 +440,53 @@ fn backend_gemm_sweep(
                     gflops: flops / (current_ms * 1e6),
                 });
             }
+        }
+    }
+    out
+}
+
+/// Times every packing path of [`QUANTIZE_PATHS`] on `x` with the dispatch
+/// pinned to every compiled backend tier in turn — the quantize-encode
+/// counterpart of [`backend_gemm_sweep`]. Before timing, each tier's packed
+/// codes, scale bits and next RNG draw are asserted identical to the
+/// forced-scalar encode's from the same seed, so the matrix only ever
+/// compares identical math.
+fn backend_quantize_sweep(x: &Tensor, reps: usize) -> Vec<BackendQuantizeRow> {
+    let (rows, cols) = x.shape();
+    let mut out = Vec::new();
+    for (p, rounding) in QUANTIZE_PATHS {
+        let quantizer = p
+            .quantizer_with_group(TensorRole::Input, 128)
+            .with_rounding(rounding);
+        let pack_seeded = || {
+            let mut rng = Rng::seed_from(11);
+            let q = quantizer.quantize_packed(x, &mut rng).expect("packable");
+            (q, rng.next_u64())
+        };
+        let (want, want_draw) = simd::with_forced_scalar(pack_seeded);
+        for backend in simd::available_backends() {
+            let what = format!("quantize_{p} {rounding:?} @ {}", backend.name());
+            let (got, got_draw) = simd::with_forced_backend(backend, pack_seeded);
+            assert_eq!(
+                got.packed_data(),
+                want.packed_data(),
+                "{what}: codes differ"
+            );
+            let bits = |q: &QTensor| q.scales().iter().map(|s| s.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{what}: scales differ");
+            assert_eq!(got_draw, want_draw, "{what}: rng stream differs");
+            let mut rng = Rng::seed_from(11);
+            let packed_ms = simd::with_forced_backend(backend, || {
+                time_best_ms(reps, || quantizer.quantize_packed(x, &mut rng))
+            });
+            out.push(BackendQuantizeRow {
+                backend: backend.name().to_string(),
+                name: format!("quantize_{p}"),
+                shape: format!("{rows}x{cols}"),
+                rounding: format!("{rounding:?}").to_lowercase(),
+                packed_ms,
+                ns_per_elem: packed_ms * 1e6 / (rows * cols) as f64,
+            });
         }
     }
     out
@@ -487,7 +558,7 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
         std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
     let report: Report =
         serde_json::from_str(&text).map_err(|e| format!("parse {}: {e}", path.display()))?;
-    if report.schema != 3 {
+    if report.schema != SCHEMA {
         return Err(format!("unknown schema {}", report.schema));
     }
     let mach = &report.machine;
@@ -574,6 +645,45 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
             }
         }
     }
+    // The quantize matrix: same tier coverage rules as the GEMM matrix, and
+    // every tier times every packing path.
+    let q_backends: std::collections::BTreeSet<&str> = report
+        .backend_quantize
+        .iter()
+        .map(|r| r.backend.as_str())
+        .collect();
+    for required in ["scalar", mach.simd_backend.as_str()] {
+        if !q_backends.contains(required) {
+            return Err(format!("backend_quantize is missing the `{required}` tier"));
+        }
+    }
+    for backend in &q_backends {
+        for (p, rounding) in QUANTIZE_PATHS {
+            let (name, rounding) = (
+                format!("quantize_{p}"),
+                format!("{rounding:?}").to_lowercase(),
+            );
+            if !report
+                .backend_quantize
+                .iter()
+                .any(|r| r.backend == *backend && r.name == name && r.rounding == rounding)
+            {
+                return Err(format!(
+                    "backend_quantize: `{backend}` is missing `{name}` ({rounding})"
+                ));
+            }
+        }
+    }
+    for r in &report.backend_quantize {
+        for (what, v) in [("packed_ms", r.packed_ms), ("ns_per_elem", r.ns_per_elem)] {
+            if !v.is_finite() || v <= 0.0 {
+                return Err(format!(
+                    "backend_quantize {} {} {}: {what} = {v}",
+                    r.backend, r.name, r.rounding
+                ));
+            }
+        }
+    }
     for r in &report.quantize {
         for (what, v) in [
             ("fake_ms", r.fake_ms),
@@ -608,12 +718,13 @@ fn check_report(path: &std::path::Path) -> Result<String, String> {
     }
     Ok(format!(
         "{} gemm rows, {} backend rows ({}), {} decode rows, {} quantize rows, \
-         {} small-gemm rows, {:.2} ms/train-step, {} simd on {} threads",
+         {} backend quantize rows, {} small-gemm rows, {:.2} ms/train-step, {} simd on {} threads",
         report.gemm.len(),
         report.backend_gemm.len(),
         backends.iter().copied().collect::<Vec<_>>().join("/"),
         report.decode.len(),
         report.quantize.len(),
+        report.backend_quantize.len(),
         report.small_gemm.len(),
         ts.ms_per_step,
         mach.simd_backend,
@@ -653,6 +764,12 @@ fn print_summary(report: &Report) {
         println!(
             "  {:>12} {:>14}  {:>9.3} ms fake → {:>9.3} ms packed  {:>5.2}x  ({})",
             r.name, r.shape, r.fake_ms, r.packed_ms, r.ratio, r.rounding
+        );
+    }
+    for r in &report.backend_quantize {
+        println!(
+            "  {:>12} {:>14}  {:>9.3} ms   {:>6.2} ns/elem  [{}] ({})",
+            r.name, r.shape, r.packed_ms, r.ns_per_elem, r.backend, r.rounding
         );
     }
     for r in &report.small_gemm {

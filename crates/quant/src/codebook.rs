@@ -19,12 +19,61 @@
 //! what makes the packed pipeline exactly equivalent to fake quantization.
 
 use crate::format::{FloatFormat, FormatKind};
-use crate::granularity::Granularity;
+use crate::granularity::{self, Granularity};
 use crate::int::IntFormat;
 use snip_tensor::rng::Rng;
 use snip_tensor::{CodeWidth, QTensor, Tensor};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
+
+#[cfg(target_arch = "x86_64")]
+mod simd_x86_512;
+#[cfg(target_arch = "x86_64")]
+pub(crate) use simd_x86_512::Avx512;
+
+/// No AVX-512 on this architecture: [`Avx512::active`] never yields a
+/// token, so the kernel entry points are unreachable.
+#[cfg(not(target_arch = "x86_64"))]
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Avx512 {}
+
+#[cfg(not(target_arch = "x86_64"))]
+impl Avx512 {
+    pub(crate) fn active() -> Option<Avx512> {
+        None
+    }
+
+    pub(crate) fn max_abs(self, _: &[f32], _: f32) -> f32 {
+        match self {}
+    }
+
+    pub(crate) fn threshold_u4(
+        self,
+        _: &[f32],
+        _: f32,
+        _: &[u32; 8],
+        _: bool,
+        _: u8,
+        _: &mut [u8],
+    ) -> usize {
+        match self {}
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn float_codes(
+        self,
+        _: &[f32],
+        _: Option<&[f32]>,
+        _: f32,
+        _: FloatFormat,
+        _: u8,
+        _: u8,
+        _: CodeWidth,
+        _: &mut [u8],
+    ) -> usize {
+        match self {}
+    }
+}
 
 /// Identity of a decode table in the shared per-format registry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -262,10 +311,13 @@ impl Codebook {
     /// per element, unconditionally** (drawn before any zero/NaN/saturation
     /// short-circuit, just as the two-step path evaluates the draw as a
     /// call argument), in [`Granularity::for_each_group`] row-major-within-
-    /// group order. Codes and the final RNG position are therefore
-    /// bit-identical to the two-step path and to fake quantization
-    /// (property-tested in `tests/packed_equivalence.rs` and the quant
-    /// fused-SR suite).
+    /// group order. Each row segment's draws are taken into a buffer before
+    /// it is encoded, so the 16-lane AVX-512 encode (when the thread
+    /// dispatches to it) reads the same draws as the scalar code function.
+    /// Codes and the final RNG position are therefore bit-identical to the
+    /// two-step path and to fake quantization on every backend tier
+    /// (property-tested in `tests/packed_equivalence.rs` and
+    /// `tests/encode_simd.rs`).
     ///
     /// `fmt` must be the float format this codebook was built from
     /// (`Codebook::for_float(fmt)`) — the index arithmetic assumes this
@@ -284,50 +336,33 @@ impl Codebook {
         );
         let half = (self.width.lut_len() / 2) as u8;
         let top = (self.values() - 1) as u8;
-        // A dedicated sweep rather than `pack_impl` with a code_of closure:
-        // the draw + SR-encode call sits directly in the segment loops (one
-        // closure level instead of two), which measures ~8% faster on the
-        // FP8 path — and this path is the one the ≤ 1.1×-of-fake budget in
-        // `BENCH_gemm.json` holds to account.
-        let (rows, cols) = t.shape();
-        let layout = granularity.layout();
-        let width = self.width();
-        let row_bytes = width.row_bytes(cols);
-        let mut data = vec![0u8; rows * row_bytes];
-        let mut scales = Vec::with_capacity(layout.group_count(rows, cols));
-        granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                for &v in &t.row(r)[cr.clone()] {
-                    max_abs = max_abs.max(v.abs());
-                }
-            }
-            let scale = Granularity::group_scale(fmt.max_value(), max_abs);
-            scales.push(1.0 / scale);
-            for r in rr {
-                let seg = &t.row(r)[cr.clone()];
-                let out = &mut data[r * row_bytes..(r + 1) * row_bytes];
-                match width {
-                    CodeWidth::U4 => encode_seg_u4(seg, cr.start, out, &mut |v| {
-                        fmt.stochastic_code(v * scale, rng.next_f32(), half, top)
-                    }),
-                    CodeWidth::U8 => {
-                        for (&v, o) in seg.iter().zip(&mut out[cr.clone()]) {
-                            *o = fmt.stochastic_code(v * scale, rng.next_f32(), half, top);
-                        }
-                    }
-                }
-            }
-        });
-        QTensor::from_parts_with_pair(
-            rows,
-            cols,
-            width,
-            self.lut(),
-            self.pair_lut(),
-            layout,
-            scales,
-            data,
+        let width = self.width;
+        let avx = Avx512::active();
+        let mut draws = Vec::new();
+        self.pack_impl(
+            t,
+            granularity,
+            avx,
+            Self::max_abs_scale(fmt.max_value()),
+            |seg, cstart, s, out| {
+                // The segment's draws, in element order, before any encode:
+                // whichever kernel encodes, the stream advances exactly as
+                // the oracle's one-draw-per-element walk does.
+                draws.clear();
+                draws.extend(seg.iter().map(|_| rng.next_f32()));
+                encode_seg(
+                    width,
+                    seg,
+                    cstart,
+                    out,
+                    |i, o| {
+                        avx.map_or(0, |k| {
+                            k.float_codes(&seg[i..], Some(&draws[i..]), s, fmt, half, top, width, o)
+                        })
+                    },
+                    &mut |i, v| fmt.stochastic_code(v * s, draws[i], half, top),
+                )
+            },
         )
     }
 
@@ -336,10 +371,12 @@ impl Codebook {
     /// boundaries) skip the threshold table's per-element binary search and
     /// compute the code arithmetically from the element's exponent
     /// (`FloatFormat::nearest_code`), exactly like the stochastic path;
-    /// subbyte formats keep the threshold count, which vectorizes and beats
-    /// the arithmetic path at ≤ 8 boundaries. Bit-identical to
-    /// `encode(quantize_nearest(..))` either way (pinned by the packed ↔
-    /// fake equivalence suites).
+    /// subbyte formats keep the threshold count (≤ 8 boundaries). Both run
+    /// as scalar code at the SSE2 baseline (~7.5 ns per element) and as
+    /// 16-lane kernels when the thread dispatches to AVX-512.
+    /// Bit-identical to `encode(quantize_nearest(..))` either way (pinned
+    /// by the packed ↔ fake equivalence suites and, per backend tier, by
+    /// `tests/encode_simd.rs`).
     pub fn pack_nearest_float(
         &self,
         t: &Tensor,
@@ -355,14 +392,29 @@ impl Codebook {
             CodeWidth::U4 => self.pack_nearest(t, granularity, fmt.max_value(), |scaled| {
                 fmt.quantize_nearest(scaled)
             }),
-            CodeWidth::U8 => {
-                let half = (self.width.lut_len() / 2) as u8;
+            width @ CodeWidth::U8 => {
+                let half = (width.lut_len() / 2) as u8;
                 let top = (self.values() - 1) as u8;
+                let avx = Avx512::active();
                 self.pack_impl(
                     t,
                     granularity,
+                    avx,
                     Self::max_abs_scale(fmt.max_value()),
-                    |v, enc_scale| fmt.nearest_code(v * enc_scale, half, top),
+                    |seg, cstart, s, out| {
+                        encode_seg(
+                            width,
+                            seg,
+                            cstart,
+                            out,
+                            |i, o| {
+                                avx.map_or(0, |k| {
+                                    k.float_codes(&seg[i..], None, s, fmt, half, top, width, o)
+                                })
+                            },
+                            &mut |_, v| fmt.nearest_code(v * s, half, top),
+                        )
+                    },
                 )
             }
         }
@@ -406,7 +458,8 @@ impl Codebook {
     /// codes **pairwise** — one whole-byte store per two elements instead
     /// of a read-modify-write per nibble. Element order (and therefore
     /// stochastic-draw order) is unchanged — row-major within each group —
-    /// so the fake-quant bit-identity contract is untouched.
+    /// so the fake-quant bit-identity contract is untouched. `quantize` is
+    /// an arbitrary closure, so this path always encodes with scalar code.
     pub fn pack_with(
         &self,
         t: &Tensor,
@@ -415,8 +468,12 @@ impl Codebook {
         scale_of: impl Fn(f32) -> (f32, f32),
         quantize: impl Fn(f32, &mut Rng) -> f32,
     ) -> QTensor {
-        self.pack_impl(t, granularity, scale_of, |v, enc_scale| {
-            self.encode(quantize(v * enc_scale, rng))
+        let width = self.width;
+        let avx = Avx512::active();
+        self.pack_impl(t, granularity, avx, scale_of, |seg, cstart, s, out| {
+            encode_seg(width, seg, cstart, out, |_, _| 0, &mut |_, v| {
+                self.encode(quantize(v * s, rng))
+            })
         })
     }
 
@@ -443,26 +500,49 @@ impl Codebook {
         quantize: impl Fn(f32) -> f32,
     ) -> QTensor {
         let table = self.nearest_table(&quantize);
-        let half = (self.width.lut_len() / 2) as u8;
-        self.pack_impl(t, granularity, scale_of, |v, enc_scale| {
-            Self::nearest_code((v * enc_scale).to_bits(), half, &table)
+        let width = self.width;
+        let half = (width.lut_len() / 2) as u8;
+        let avx = Avx512::active();
+        // The vector count runs on 4-bit tables (≤ 7 boundaries, padded to
+        // 8 with boundaries no magnitude reaches); byte-wide tables keep
+        // the scalar binary search.
+        let vector = avx.filter(|_| width == CodeWidth::U4).map(|k| {
+            let mut th = [u32::MAX; 8];
+            th[..table.thresholds.len()].copy_from_slice(&table.thresholds);
+            (k, th)
+        });
+        self.pack_impl(t, granularity, avx, scale_of, |seg, cstart, s, out| {
+            encode_seg(
+                width,
+                seg,
+                cstart,
+                out,
+                |i, o| {
+                    vector.as_ref().map_or(0, |(k, th)| {
+                        k.threshold_u4(&seg[i..], s, th, table.signed_zero, half, o)
+                    })
+                },
+                &mut |_, v| Self::nearest_code((v * s).to_bits(), half, &table),
+            )
         })
     }
 
-    /// Shared group walk of the packing paths: per scale group, scan the
-    /// group's contiguous row segments for the max-abs (bounds-check-free
-    /// slice iteration), derive the scales, then encode each segment
-    /// straight into the packed byte buffer — the scan and encode are fused
-    /// per tile, so a tile is read from memory once and re-read cache-hot.
-    /// `code_of(v, enc_scale)` maps one source element to its code;
-    /// elements are visited row-major within each group, the same order
-    /// (and the same stochastic-draw order) as fake quantization.
+    /// The one group walk of every packing path: per scale group, scan the
+    /// group's contiguous row segments for the max-abs
+    /// ([`granularity::group_max_abs_of`]), derive the scales, then hand
+    /// each row segment to `encode_seg(seg, cstart, enc_scale, row)`, which
+    /// writes the segment's codes into `row`, its row of packed storage —
+    /// the scan and encode are fused per tile, so a tile is read from
+    /// memory once and re-read cache-hot. Segments are visited row-major
+    /// within each group, the same order (and the same stochastic-draw
+    /// order) as fake quantization.
     fn pack_impl(
         &self,
         t: &Tensor,
         granularity: Granularity,
+        avx: Option<Avx512>,
         scale_of: impl Fn(f32) -> (f32, f32),
-        mut code_of: impl FnMut(f32, f32) -> u8,
+        mut encode_seg: impl FnMut(&[f32], usize, f32, &mut [u8]),
     ) -> QTensor {
         let (rows, cols) = t.shape();
         let layout = granularity.layout();
@@ -471,26 +551,12 @@ impl Codebook {
         let mut data = vec![0u8; rows * row_bytes];
         let mut scales = Vec::with_capacity(layout.group_count(rows, cols));
         granularity.for_each_group(rows, cols, |rr, cr| {
-            let mut max_abs = 0.0f32;
-            for r in rr.clone() {
-                for &v in &t.row(r)[cr.clone()] {
-                    max_abs = max_abs.max(v.abs());
-                }
-            }
+            let max_abs = granularity::group_max_abs_of(t, rr.clone(), cr.clone(), avx);
             let (enc_scale, dec_scale) = scale_of(max_abs);
             scales.push(dec_scale);
             for r in rr {
-                let seg = &t.row(r)[cr.clone()];
                 let out = &mut data[r * row_bytes..(r + 1) * row_bytes];
-                let mut enc = |v: f32| code_of(v, enc_scale);
-                match width {
-                    CodeWidth::U4 => encode_seg_u4(seg, cr.start, out, &mut enc),
-                    CodeWidth::U8 => {
-                        for (&v, o) in seg.iter().zip(&mut out[cr.clone()]) {
-                            *o = enc(v);
-                        }
-                    }
-                }
+                encode_seg(&t.row(r)[cr.clone()], cr.start, enc_scale, out);
             }
         });
         QTensor::from_parts_with_pair(
@@ -534,10 +600,11 @@ impl Codebook {
 
     /// The fused nearest-rounding encode: maps a scaled value's raw bits to
     /// its sign-magnitude code by counting rounding boundaries at or below
-    /// its magnitude. Branch-free on the hot path for subbyte tables (the
-    /// count vectorizes); byte-wide tables use a short branchless binary
-    /// search. NaN quantizes to +0 in every format; saturation falls out of
-    /// the count (a magnitude above every boundary gets the top code).
+    /// its magnitude — a short count for subbyte tables (the scalar
+    /// reference of the AVX-512 `threshold_u4` kernel); byte-wide tables
+    /// use a short branchless binary search. NaN quantizes to +0 in every
+    /// format; saturation falls out of the count (a magnitude above every
+    /// boundary gets the top code).
     #[inline]
     fn nearest_code(bits: u32, half: u8, table: &NearestTable) -> u8 {
         let neg = (bits >> 31) as u8;
@@ -636,6 +703,45 @@ impl Codebook {
             }
         };
         sign + idx as u8
+    }
+}
+
+/// Encodes one row segment of a scale group — columns `cstart..cstart +
+/// seg.len()` of a row whose packed bytes are `out` — with a vector body
+/// and the scalar reference around it. `body(i, bytes)` encodes a whole
+/// number of 16-element chunks of `seg[i..]` (a byte-aligned column, its
+/// first byte at `bytes[0]`) and returns how many elements it covered —
+/// zero when no vector kernel runs. `code(i, v)`, the scalar reference
+/// for element `i`, covers an odd head nibble and everything after the
+/// body (through [`encode_seg_u4`] or the byte loop), in element order.
+fn encode_seg(
+    width: CodeWidth,
+    seg: &[f32],
+    cstart: usize,
+    out: &mut [u8],
+    body: impl FnOnce(usize, &mut [u8]) -> usize,
+    code: &mut impl FnMut(usize, f32) -> u8,
+) {
+    // A 4-bit body must start on a byte boundary.
+    let mut i = 0;
+    if width == CodeWidth::U4 && cstart % 2 == 1 && !seg.is_empty() {
+        out[cstart / 2] |= code(0, seg[0]) << 4;
+        i = 1;
+    }
+    i += body(i, &mut out[width.row_bytes(cstart + i)..]);
+    let mut j = i;
+    let mut next = |v: f32| {
+        let c = code(j, v);
+        j += 1;
+        c
+    };
+    match width {
+        CodeWidth::U4 => encode_seg_u4(&seg[i..], cstart + i, out, &mut next),
+        CodeWidth::U8 => {
+            for (&v, o) in seg[i..].iter().zip(&mut out[cstart + i..]) {
+                *o = next(v);
+            }
+        }
     }
 }
 

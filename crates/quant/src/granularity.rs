@@ -12,8 +12,10 @@
 //! The paper follows DeepSeek-V3: **1×128 tile-wise** scaling for activations
 //! and gradients, **128×128 block-wise** scaling for weights.
 
+use crate::codebook::Avx512;
 use serde::{Deserialize, Serialize};
 use snip_tensor::{GroupLayout, Tensor};
+use std::ops::Range;
 
 /// How scaling factors are assigned to regions of a tensor.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -66,7 +68,7 @@ impl Granularity {
         &self,
         rows: usize,
         cols: usize,
-        mut f: impl FnMut(std::ops::Range<usize>, std::ops::Range<usize>),
+        mut f: impl FnMut(Range<usize>, Range<usize>),
     ) {
         match *self {
             Granularity::Tensorwise => {
@@ -143,19 +145,35 @@ impl Granularity {
     /// Maximum absolute value within each group, in group order.
     pub fn group_max_abs(&self, t: &Tensor) -> Vec<f32> {
         let (rows, cols) = t.shape();
+        let avx = Avx512::active();
         let mut maxes = Vec::with_capacity(self.group_count(rows, cols));
         self.for_each_group(rows, cols, |rr, cr| {
-            let mut m = 0.0f32;
-            for r in rr {
-                let row = t.row(r);
-                for c in cr.clone() {
-                    m = m.max(row[c].abs());
-                }
-            }
-            maxes.push(m);
+            maxes.push(group_max_abs_of(t, rr, cr, avx));
         });
         maxes
     }
+}
+
+/// `max |t[r][c]|` over the `rr × cr` group, starting from `+0`: the one
+/// max-abs scan [`Granularity::group_max_abs`] and every packing path
+/// share. NaN elements never win (the semantics of `f32::max`), so an
+/// all-NaN group scans to 0. With an AVX-512 token the rows run the
+/// vector scan, which is exact — max is order-free.
+pub(crate) fn group_max_abs_of(
+    t: &Tensor,
+    rr: Range<usize>,
+    cr: Range<usize>,
+    avx: Option<Avx512>,
+) -> f32 {
+    let mut m = 0.0f32;
+    for r in rr {
+        let seg = &t.row(r)[cr.clone()];
+        m = match avx {
+            Some(k) => k.max_abs(seg, m),
+            None => seg.iter().fold(m, |m, v| m.max(v.abs())),
+        };
+    }
+    m
 }
 
 impl std::fmt::Display for Granularity {

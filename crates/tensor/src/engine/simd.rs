@@ -259,15 +259,13 @@ thread_local! {
 /// The backend every kernel dispatch on this thread uses right now: the
 /// forced backend if one is installed, the process backend otherwise. A
 /// non-scalar result implies the backend's instruction set was
-/// runtime-detected. (The vector dispatch sites are compiled out entirely
-/// without the `simd` feature or on arches with no backend, hence the
-/// dead-code allowance.)
-#[cfg_attr(
-    not(all(feature = "simd", any(target_arch = "x86_64", target_arch = "aarch64"))),
-    allow(dead_code)
-)]
+/// runtime-detected.
+///
+/// Public so vector kernels outside this crate (the quantize encoders in
+/// `snip-quant`) dispatch through the same tier: a [`with_forced_backend`]
+/// region or a `SNIP_SIMD` cap governs them exactly as it governs GEMM.
 #[inline]
-pub(crate) fn active_backend() -> Backend {
+pub fn active_backend() -> Backend {
     FORCED.with(|f| f.get()).unwrap_or_else(backend_kind)
 }
 
