@@ -36,8 +36,9 @@
 //!     },
 //!     cfg.model.clone(),
 //! );
-//! let losses = trainer.train_with_engine(10, &engine);
+//! let losses = trainer.train_with_engine(10, &engine)?;
 //! assert!(losses.iter().all(|l| l.is_finite()));
+//! # Ok::<(), String>(())
 //! ```
 
 pub mod baselines;

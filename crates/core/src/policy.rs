@@ -31,7 +31,11 @@ pub struct PolicyConfig {
     /// Efficiency target `E_t` ∈ [0, 1]: the fraction of linear-layer FLOPs
     /// that must run in FP4.
     pub target_fp4: f64,
-    /// ILP wall-clock budget in milliseconds (paper uses 30 s).
+    /// ILP wall-clock budget in milliseconds (the paper's 30 s by
+    /// default). When it expires the best incumbent found so far is used,
+    /// unproven, so the scheme can depend on timing. Model-shaped
+    /// instances fold to a few groups and prove optimal in milliseconds
+    /// (see `snip_ilp::solve`), far inside this budget.
     pub time_limit_ms: u64,
     /// When set, decompose into this many contiguous pipeline stages and
     /// balance efficiency across them (paper §5.3).

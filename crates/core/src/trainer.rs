@@ -252,7 +252,13 @@ impl Trainer {
     /// and a new scheme solved every `engine.config().update_period` steps
     /// (asynchronously), and applied as soon as it is ready — the Fig. 6
     /// integration. Returns each step's loss.
-    pub fn train_with_engine(&mut self, n: u64, engine: &SnipEngine) -> Vec<f64> {
+    ///
+    /// # Errors
+    ///
+    /// A failed scheme update (an unreachable `target_fp4`, a malformed
+    /// instance) stops training at the step it arrives, before that step
+    /// runs; the message names the step and the engine's error.
+    pub fn train_with_engine(&mut self, n: u64, engine: &SnipEngine) -> Result<Vec<f64>, String> {
         let mut losses = Vec::with_capacity(n as usize);
         for _ in 0..n {
             if engine.is_update_due(self.step) {
@@ -266,12 +272,16 @@ impl Trainer {
                     name,
                 );
             }
-            if let Some(Ok(scheme)) = engine.try_collect() {
-                self.apply_scheme(&scheme);
+            match engine.try_collect() {
+                Some(Ok(scheme)) => self.apply_scheme(&scheme),
+                Some(Err(e)) => {
+                    return Err(format!("SNIP update failed at step {}: {e}", self.step))
+                }
+                None => {}
             }
             losses.push(self.train_step());
         }
-        losses
+        Ok(losses)
     }
 
     /// Mean loss over `batches` held-out batches (fixed by `seed`).
@@ -438,7 +448,7 @@ mod tests {
             },
             cfg.model.clone(),
         );
-        let losses = t.train_with_engine(20, &engine);
+        let losses = t.train_with_engine(20, &engine).unwrap();
         assert_eq!(losses.len(), 20);
         assert!(losses.iter().all(|l| l.is_finite()));
         // After at least one update cycle the model should not be uniformly
@@ -450,6 +460,34 @@ mod tests {
                 .iter()
                 .any(|&p| p != LinearPrecision::uniform(Precision::Bf16)),
             "engine never applied a scheme"
+        );
+    }
+
+    #[test]
+    fn engine_integration_fails_loudly_on_unreachable_target() {
+        let cfg = TrainerConfig::tiny();
+        let mut t = Trainer::new(cfg.clone()).unwrap();
+        let _ = t.train(5);
+        let engine = SnipEngine::new(
+            SnipConfig {
+                policy: PolicyConfig {
+                    target_fp4: 1.5, // more than every linear FLOP in FP4
+                    ..Default::default()
+                },
+                update_period: 5,
+                ..Default::default()
+            },
+            cfg.model.clone(),
+        );
+        // The failure arrives whenever the worker finishes; every 5-step
+        // call submits another update, so it surfaces within a few calls.
+        let err = (0..100)
+            .find_map(|_| t.train_with_engine(5, &engine).err())
+            .expect("an unreachable target must fail the run");
+        assert!(err.contains("unreachable"), "{err}");
+        assert!(
+            err.contains(&format!("at step {}", t.step_count())),
+            "training must stop at the step the failure arrived: {err}"
         );
     }
 

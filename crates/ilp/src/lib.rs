@@ -11,6 +11,18 @@
 //! ([`solve()`]) and a pipeline-stage-aware grouped variant ([`solve_grouped`])
 //! implementing the paper's per-stage constraint (Eq. 5).
 //!
+//! Before branching, [`solve()`] folds every class of groups with
+//! bit-identical efficiency vectors into one group by an exact min-plus
+//! merge (see [`solve`](mod@solve)). A real model repeats the same layer
+//! shapes in every block, so its instance folds to a handful of groups —
+//! two (attention, FFN) for the 154-layer TinyLlama stand-in — and the
+//! search proves optimality in a few dozen nodes instead of exploring
+//! swaps among interchangeable layers. The fold is exact: replacing a
+//! class's choices in any feasible solution by the lowest-quality choices
+//! of at least the same total efficiency keeps it feasible and its
+//! objective no higher. [`solve_grouped`] calls [`solve()`] per stage, so
+//! each stage folds on its own.
+//!
 //! # Example
 //!
 //! ```

@@ -5,6 +5,25 @@
 //! specialized to the one problem shape SNIP produces — multiple-choice
 //! knapsack — and is exact:
 //!
+//! 0. **Class fold**: groups whose efficiency vectors are bit-identical
+//!    (every repeat of a layer shape across transformer blocks) form a
+//!    class, and each class is folded into one group by an exact min-plus
+//!    merge. Members are added in index order; each merged entry is keyed
+//!    by its exact f64 efficiency sum and keeps the lowest quality sum
+//!    (the earlier entry on a tie); the entries are dominance-pruned
+//!    (step 1) after every member and store a backpointer, so a pick of the
+//!    folded group unfolds to one option per member. The fold is exact:
+//!    in any feasible solution, replacing a class's choices by the
+//!    lowest-quality choices of at least the same total efficiency keeps it
+//!    feasible and its objective no higher. (The merge would be exact for
+//!    any set of groups; identical efficiencies are what keep its entry
+//!    count near the number of distinct efficiency sums.) A class of one
+//!    group folds to that group's own frontier, and a 154-layer model
+//!    folds to two groups (attention and FFN shapes), so the search below
+//!    never wades through swaps of interchangeable layers. The fold costs
+//!    the class's entry count times its options per member (~0.4 ms at
+//!    154 FP8/FP4 layers); it counts against the time limit but is not
+//!    cut short by it.
 //! 1. **Dominance pruning**: within each group, an option is dropped if
 //!    another option has at least its efficiency at no more quality loss
 //!    (some optimal solution always avoids dominated options).
@@ -13,10 +32,18 @@
 //!    group's lower convex hull in order of marginal rate `Δq/Δe` — gives a
 //!    lower bound with at most one fractional group.
 //! 3. **Branch & bound**: branch on the fractional group; rounding the
-//!    fractional increment up gives feasible incumbents for free.
+//!    fractional increment up gives feasible incumbents for free. Children
+//!    are visited outward from the fractional increment, and a direction
+//!    stops at its first pruned hull option: a child's bound is at least a
+//!    convex function of its option's efficiency that it equals on the
+//!    hull, so every option further out is pruned too.
+//!
+//! Objective and efficiency of the returned picks are recomputed on the
+//! original instance ([`McKnapsack::evaluate`]).
 
-use crate::problem::{Choice, McKnapsack};
+use crate::problem::McKnapsack;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// Solver options.
@@ -87,32 +114,33 @@ struct Group {
     hull: Vec<usize>,
 }
 
-fn preprocess(options: &[Choice]) -> Group {
-    // Sort by efficiency ascending, quality ascending to break ties.
-    let mut idx: Vec<usize> = (0..options.len()).collect();
-    // Sort by efficiency ascending; ties broken by quality *descending* so
-    // that the reverse sweep visits the better (lower-q) duplicate last and
-    // keeps exactly one point per efficiency level.
-    idx.sort_by(|&a, &b| {
-        options[a]
-            .efficiency
-            .partial_cmp(&options[b].efficiency)
+/// Dominance pruning: drops every point that another point matches or
+/// beats in efficiency at no more quality loss, and returns the rest
+/// efficiency ascending (quality then strictly ascending). Of exact
+/// duplicates the one with the lower `orig` stays.
+fn pareto(mut points: Vec<Point>) -> Vec<Point> {
+    // Efficiency descending, quality ascending, `orig` ascending: the sweep
+    // meets the point it keeps for each efficiency first.
+    points.sort_by(|a, b| {
+        b.e.partial_cmp(&a.e)
             .unwrap()
-            .then(options[b].quality.partial_cmp(&options[a].quality).unwrap())
+            .then(a.q.partial_cmp(&b.q).unwrap())
+            .then(a.orig.cmp(&b.orig))
     });
-    // Sweep from highest efficiency down, keeping strictly-better quality.
-    let mut frontier_rev: Vec<Point> = Vec::new();
     let mut best_q = f64::INFINITY;
-    for &i in idx.iter().rev() {
-        let (e, q) = (options[i].efficiency, options[i].quality);
-        if q < best_q {
-            frontier_rev.push(Point { orig: i, e, q });
-            best_q = q;
+    points.retain(|p| {
+        let keep = p.q < best_q;
+        if keep {
+            best_q = p.q;
         }
-    }
-    frontier_rev.reverse();
-    let frontier = frontier_rev;
+        keep
+    });
+    points.reverse();
+    points
+}
 
+/// Adds the lower convex hull to a dominance-pruned frontier.
+fn preprocess(frontier: Vec<Point>) -> Group {
     // Lower convex hull over (e, q): marginal rates must be non-decreasing.
     let mut hull: Vec<usize> = Vec::with_capacity(frontier.len());
     for i in 0..frontier.len() {
@@ -132,6 +160,92 @@ fn preprocess(options: &[Choice]) -> Group {
     Group { frontier, hull }
 }
 
+/// Decision groups with bit-identical efficiency vectors, folded into one
+/// group whose options are the class's non-dominated combined choices.
+struct Class {
+    /// Original group indices, ascending.
+    members: Vec<usize>,
+    /// `back[k][p]` = (entry of the fold over `members[..k]`, option of
+    /// `members[k]`) that entry `p` of the fold over `members[..=k]` was
+    /// built from.
+    back: Vec<Vec<(usize, usize)>>,
+}
+
+impl Class {
+    /// Writes the original option of every member for entry `p` of the
+    /// full fold into `picks`.
+    fn unfold(&self, mut p: usize, picks: &mut [usize]) {
+        for (k, &i) in self.members.iter().enumerate().rev() {
+            let (prev, j) = self.back[k][p];
+            picks[i] = j;
+            p = prev;
+        }
+    }
+}
+
+/// Step 0: partitions the groups into classes of bit-identical efficiency
+/// vectors (ordered by first member) and folds each class by an exact
+/// min-plus merge. Returns each class with its folded group.
+fn fold(problem: &McKnapsack) -> Vec<(Class, Group)> {
+    let mut class_of: HashMap<Vec<u64>, usize> = HashMap::new();
+    let mut classes: Vec<Vec<usize>> = Vec::new();
+    for (i, g) in problem.groups.iter().enumerate() {
+        let key = g.iter().map(|c| c.efficiency.to_bits()).collect();
+        let c = *class_of.entry(key).or_insert_with(|| {
+            classes.push(Vec::new());
+            classes.len() - 1
+        });
+        classes[c].push(i);
+    }
+    classes
+        .into_iter()
+        .map(|members| {
+            // Entries of the fold so far; `orig` indexes `back`'s last level.
+            let mut level = vec![Point {
+                orig: 0,
+                e: 0.0,
+                q: 0.0,
+            }];
+            let mut back = Vec::with_capacity(members.len());
+            for &i in &members {
+                let options = pareto(
+                    problem.groups[i]
+                        .iter()
+                        .enumerate()
+                        .map(|(j, c)| Point {
+                            orig: j,
+                            e: c.efficiency,
+                            q: c.quality,
+                        })
+                        .collect(),
+                );
+                // Candidate `p·n + o` extends entry `p` by option `o`; built
+                // option by option, so the sort sees `n` ascending runs.
+                let n = options.len();
+                let mut candidates = Vec::with_capacity(level.len() * n);
+                for (o, b) in options.iter().enumerate() {
+                    candidates.extend(level.iter().enumerate().map(|(p, a)| Point {
+                        orig: p * n + o,
+                        e: a.e + b.e,
+                        q: a.q + b.q,
+                    }));
+                }
+                level = pareto(candidates);
+                back.push(
+                    level
+                        .iter()
+                        .map(|pt| (pt.orig / n, options[pt.orig % n].orig))
+                        .collect(),
+                );
+                for (p, pt) in level.iter_mut().enumerate() {
+                    pt.orig = p;
+                }
+            }
+            (Class { members, back }, preprocess(level))
+        })
+        .collect()
+}
+
 /// One efficiency-buying increment on a group's hull.
 #[derive(Clone, Copy, Debug)]
 struct Increment {
@@ -140,6 +254,8 @@ struct Increment {
     hull_pos: usize,
     de: f64,
     dq: f64,
+    /// Marginal rate `Δq/Δe`, never below the group's previous increment's.
+    rate: f64,
 }
 
 struct Searcher<'a> {
@@ -157,12 +273,12 @@ enum LpOutcome {
     /// Relaxation infeasible → prune.
     Infeasible,
     /// Bound plus the fractional group (if any) and the integral rounding
-    /// (frontier index per group).
+    /// (frontier index per group; the fractional increment rounds up, so it
+    /// meets the target).
     Bound {
         bound: f64,
         fractional_group: Option<usize>,
         rounded: Vec<usize>,
-        rounded_feasible: bool,
     },
 }
 
@@ -183,14 +299,21 @@ impl<'a> Searcher<'a> {
                 base_q += g.frontier[0].q;
                 base_e += g.frontier[0].e;
                 rounded[i] = 0;
+                // Rates rise along the hull; the running max keeps rounding
+                // noise on collinear points from reordering a group's own
+                // increments (the sort below is stable).
+                let mut rate = f64::NEG_INFINITY;
                 for w in g.hull.windows(2) {
                     let a = g.frontier[w[0]];
                     let b = g.frontier[w[1]];
+                    let (de, dq) = (b.e - a.e, b.q - a.q);
+                    rate = rate.max(dq / de.max(1e-300));
                     increments.push(Increment {
                         group: i,
                         hull_pos: w[1],
-                        de: b.e - a.e,
-                        dq: b.q - a.q,
+                        de,
+                        dq,
+                        rate,
                     });
                 }
             }
@@ -201,14 +324,9 @@ impl<'a> Searcher<'a> {
                 bound: base_q,
                 fractional_group: None,
                 rounded,
-                rounded_feasible: true,
             };
         }
-        increments.sort_by(|x, y| {
-            let rx = x.dq / x.de.max(1e-300);
-            let ry = y.dq / y.de.max(1e-300);
-            rx.partial_cmp(&ry).unwrap()
-        });
+        increments.sort_by(|x, y| x.rate.total_cmp(&y.rate));
         let mut bound = base_q;
         for inc in &increments {
             if inc.de <= 0.0 {
@@ -222,7 +340,6 @@ impl<'a> Searcher<'a> {
                     bound,
                     fractional_group: Some(inc.group),
                     rounded,
-                    rounded_feasible: true,
                 };
             }
             bound += inc.dq;
@@ -234,7 +351,6 @@ impl<'a> Searcher<'a> {
                 bound,
                 fractional_group: None,
                 rounded,
-                rounded_feasible: true,
             };
         }
         LpOutcome::Infeasible
@@ -261,44 +377,55 @@ impl<'a> Searcher<'a> {
         }
     }
 
-    fn search(&mut self, fixed: &mut Vec<Option<usize>>) {
+    /// Explores the subtree under `fixed`. Returns whether its LP bound
+    /// could still beat the incumbent, i.e. whether the node was not
+    /// pruned on entry.
+    fn search(&mut self, fixed: &mut Vec<Option<usize>>) -> bool {
         self.nodes += 1;
         if self.nodes.is_multiple_of(64) && Instant::now() > self.deadline {
             self.timed_out = true;
         }
         if self.timed_out {
-            return;
+            return false;
         }
         match self.lp(fixed) {
-            LpOutcome::Infeasible => {}
+            LpOutcome::Infeasible => false,
             LpOutcome::Bound {
                 bound,
                 fractional_group,
                 rounded,
-                rounded_feasible,
             } => {
                 if let Some((bq, _)) = &self.best {
                     if bound >= *bq - 1e-12 {
-                        return; // prune: cannot beat incumbent
+                        return false; // prune: cannot beat incumbent
                     }
                 }
-                if rounded_feasible {
-                    self.offer(&rounded);
-                }
+                self.offer(&rounded);
                 let Some(gf) = fractional_group else {
                     // LP integral → `rounded` is optimal for this subtree.
-                    return;
+                    return true;
                 };
-                // Branch over every frontier option of the fractional group.
-                let n_opts = self.groups[gf].frontier.len();
-                for opt in 0..n_opts {
-                    fixed[gf] = Some(opt);
-                    self.search(fixed);
-                    if self.timed_out {
-                        break;
+                // Branch on the fractional group's options, walking outward
+                // from its fractional hull increment `a → b`. A child's bound
+                // is at least W(e) = hull(e) + LP(rest | e), which is convex
+                // in the option's efficiency e with its minimum inside
+                // [e_a, e_b], and equals W(e) at hull points. So once a hull
+                // child is pruned, every option further out would be too.
+                let g = &self.groups[gf];
+                let hull = &g.hull;
+                let a = hull[hull.binary_search(&rounded[gf]).expect("hull point") - 1];
+                let up: Vec<usize> = (a + 1..g.frontier.len()).collect();
+                for walk in [up, (0..=a).rev().collect()] {
+                    for opt in walk {
+                        fixed[gf] = Some(opt);
+                        let open = self.search(fixed);
+                        if self.timed_out || (!open && hull.binary_search(&opt).is_ok()) {
+                            break;
+                        }
                     }
                 }
                 fixed[gf] = None;
+                true
             }
         }
     }
@@ -330,11 +457,12 @@ pub fn solve(problem: &McKnapsack, opts: &SolveOptions) -> Result<Solution, Solv
     if !problem.is_feasible() {
         return Err(SolveError::Infeasible);
     }
-    let groups: Vec<Group> = problem.groups.iter().map(|g| preprocess(g)).collect();
+    let deadline = Instant::now() + opts.time_limit;
+    let (classes, groups): (Vec<Class>, Vec<Group>) = fold(problem).into_iter().unzip();
     let mut searcher = Searcher {
         groups: &groups,
         target: problem.target,
-        deadline: Instant::now() + opts.time_limit,
+        deadline,
         nodes: 0,
         timed_out: false,
         best: None,
@@ -342,11 +470,10 @@ pub fn solve(problem: &McKnapsack, opts: &SolveOptions) -> Result<Solution, Solv
     let mut fixed: Vec<Option<usize>> = vec![None; groups.len()];
     searcher.search(&mut fixed);
     let (obj, picks_frontier) = searcher.best.ok_or(SolveError::Infeasible)?;
-    let picks: Vec<usize> = picks_frontier
-        .iter()
-        .enumerate()
-        .map(|(i, &p)| groups[i].frontier[p].orig)
-        .collect();
+    let mut picks = vec![0; problem.groups.len()];
+    for ((class, group), &p) in classes.iter().zip(&groups).zip(&picks_frontier) {
+        class.unfold(group.frontier[p].orig, &mut picks);
+    }
     let (q, e) = problem.evaluate(&picks);
     debug_assert!((q - obj).abs() < 1e-9 * (1.0 + obj.abs()));
     Ok(Solution {
@@ -409,6 +536,7 @@ pub fn solve_bruteforce(problem: &McKnapsack) -> Result<Solution, SolveError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::problem::Choice;
 
     fn opts() -> SolveOptions {
         SolveOptions::default()

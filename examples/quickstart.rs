@@ -41,7 +41,9 @@ fn main() {
 
     // 4. Train with the engine in the loop (measure → analyze → solve →
     //    apply, asynchronously — the paper's Fig. 6 workflow).
-    let losses = trainer.train_with_engine(60, &engine);
+    let losses = trainer
+        .train_with_engine(60, &engine)
+        .expect("SNIP update failed");
     println!(
         "with SNIP: loss {:.3} -> {:.3}",
         losses.first().unwrap(),
