@@ -42,6 +42,7 @@
 //! ```
 
 pub mod baselines;
+pub mod checkpoint;
 pub mod divergence;
 pub mod engine;
 pub mod heuristics;
@@ -53,6 +54,7 @@ pub mod scheme;
 pub mod stats;
 pub mod trainer;
 
+pub use checkpoint::CheckpointError;
 pub use divergence::{analyze, Analysis};
 pub use engine::{SnipConfig, SnipEngine};
 pub use heuristics::{fisher_scheme, greedy_refinement, greedy_snip_scheme};

@@ -5,7 +5,15 @@
 //! intermediate checkpoints under different quantization schemes. [`Trainer`]
 //! packages model + optimizer + data stream + RNG into one serializable unit
 //! so experiments can create checkpoints and branch from them exactly.
+//!
+//! [`Trainer::save`] writes that unit as a binary checkpoint
+//! ([`crate::checkpoint`]): a CRC-checked manifest frame with everything
+//! except the bulk buffers, then one CRC-checked frame of raw bytes per
+//! parameter value, gradient and stored optimizer moment, staged and
+//! renamed into place atomically. [`Trainer::load`] restores it bit-exactly
+//! or returns a typed [`CheckpointError`]; there is no text format.
 
+use crate::checkpoint::{self, CheckpointError};
 use crate::engine::SnipEngine;
 use crate::scheme::Scheme;
 use serde::{Deserialize, Serialize};
@@ -14,6 +22,7 @@ use snip_nn::model::{Model, StepOptions, StepOutput};
 use snip_nn::ModelConfig;
 use snip_optim::{clip::clip_global_norm, AdamW, AdamWConfig, LrSchedule};
 use snip_tensor::rng::Rng;
+use snip_tensor::BulkSlot;
 use std::path::Path;
 
 /// Full trainer configuration.
@@ -327,24 +336,87 @@ impl Trainer {
         snip_obs::flush()
     }
 
-    /// Saves the full trainer state as JSON.
+    /// Saves the full trainer state to `path` as a binary checkpoint (see
+    /// [`crate::checkpoint`] for the container): a manifest frame holding
+    /// the serde JSON of everything but the bulk buffers, then one
+    /// CRC-checked frame of raw little-endian bytes per bulk buffer: each
+    /// parameter's value then gradient in [`Model::visit_params_mut`]
+    /// order, then AdamW's stored moments ([`AdamW::visit_bulk_mut`]). FP8
+    /// optimizer moments are stored as their packed codes and tile scales.
+    ///
+    /// The write is atomic: the container is staged at
+    /// [`crate::checkpoint::temp_path`], fsynced, renamed over `path`, and
+    /// the directory fsynced, so a crash or a failed save leaves the
+    /// previous checkpoint at `path` intact.
     ///
     /// # Errors
     ///
-    /// I/O or serialization failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), std::io::Error> {
-        let json = serde_json::to_vec(self).map_err(std::io::Error::other)?;
-        std::fs::write(path, json)
+    /// [`CheckpointError::Io`] if staging, syncing or renaming fails;
+    /// `Layout` if a single buffer exceeds the 1 GiB frame bound.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), CheckpointError> {
+        // A hollow copy: the bulk buffers move out as frame bodies, and
+        // what remains (shapes included) serializes as the manifest.
+        let mut hollow = self.clone();
+        let mut bulk = Vec::new();
+        hollow.visit_bulk_mut(&mut |slot| bulk.push(checkpoint::take_le_bytes(slot)));
+        let manifest =
+            serde_json::to_vec(&hollow).map_err(|e| CheckpointError::Manifest(e.to_string()))?;
+        checkpoint::write(path.as_ref(), self.step, &manifest, &bulk)
     }
 
-    /// Restores a trainer saved by [`Trainer::save`].
+    /// Restores a trainer saved by [`Trainer::save`], bit-exactly: model,
+    /// gradients, optimizer moments, data-stream position and RNG state.
     ///
     /// # Errors
     ///
-    /// I/O or deserialization failures.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, std::io::Error> {
+    /// A typed [`CheckpointError`], never a panic: `Io` if the file cannot
+    /// be read, `Format` for a file without the checkpoint magic (such as
+    /// a JSON checkpoint from an older build) or of another version,
+    /// `Truncated` / `Crc` naming the first short or damaged frame,
+    /// `Layout` when the frames disagree with the manifest's shapes, and
+    /// `Manifest` when the manifest does not describe a trainer.
+    pub fn load(path: impl AsRef<Path>) -> Result<Self, CheckpointError> {
         let bytes = std::fs::read(path)?;
-        serde_json::from_slice(&bytes).map_err(std::io::Error::other)
+        let mut reader = checkpoint::Reader::open(&bytes)?;
+        let mut t: Trainer = serde_json::from_slice(reader.manifest)
+            .map_err(|e| CheckpointError::Manifest(e.to_string()))?;
+        if t.step != reader.step {
+            return Err(CheckpointError::Manifest(format!(
+                "manifest is at step {}, the header says {}",
+                t.step, reader.step
+            )));
+        }
+        let mut slots = 0usize;
+        t.visit_bulk_mut(&mut |_| slots += 1);
+        if slots + 1 != reader.frames as usize {
+            return Err(CheckpointError::Layout(format!(
+                "the header counts {} frames, the manifest implies {}",
+                reader.frames,
+                slots + 1
+            )));
+        }
+        let mut filled = Ok(());
+        t.visit_bulk_mut(&mut |slot| {
+            if filled.is_ok() {
+                filled = reader.fill(slot);
+            }
+        });
+        filled?;
+        Ok(t)
+    }
+
+    /// Lends every bulk buffer of the trainer to `f` in checkpoint order —
+    /// the one definition [`Trainer::save`] and [`Trainer::load`] share:
+    /// each parameter's value then gradient in
+    /// [`Model::visit_params_mut`] order, then AdamW's stored moments
+    /// ([`AdamW::visit_bulk_mut`]). Everything else in the trainer rides in
+    /// the checkpoint's manifest.
+    fn visit_bulk_mut(&mut self, f: &mut dyn FnMut(BulkSlot<'_>)) {
+        self.model.visit_params_mut(&mut |p| {
+            p.value_mut().visit_bulk_mut(f);
+            p.grad_mut().visit_bulk_mut(f);
+        });
+        self.optimizer.visit_bulk_mut(f);
     }
 }
 
@@ -384,20 +456,61 @@ mod tests {
 
     #[test]
     fn checkpoint_round_trip_is_exact() {
-        let dir = std::env::temp_dir().join("snip_trainer_test");
+        use snip_optim::MomentPrecision;
+        use snip_quant::{LinearPrecision, Precision};
+        let dir = std::env::temp_dir().join(format!("snip_trainer_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
+        let path = dir.join("trainer.ckpt");
 
-        let mut t = Trainer::new(TrainerConfig::tiny()).unwrap();
-        let _ = t.train(10);
-        t.save(&path).unwrap();
-        let mut restored = Trainer::load(&path).unwrap();
-        assert_eq!(restored.step_count(), t.step_count());
-        // Continuing from the checkpoint must match continuing the original.
-        let a = t.train(3);
-        let b = restored.train(3);
-        assert_eq!(a, b, "checkpoint resume must be bit-exact");
-        let _ = std::fs::remove_file(&path);
+        let n = TrainerConfig::tiny().model.n_linear_layers();
+        let mixed = Scheme::new(
+            "mixed",
+            (0..n)
+                .map(|i| match i % 3 {
+                    0 => LinearPrecision::uniform(Precision::Fp4),
+                    1 => LinearPrecision {
+                        input: Precision::Fp8,
+                        weight: Precision::Fp4,
+                        grad: Precision::Bf16,
+                    },
+                    _ => LinearPrecision::uniform(Precision::Bf16),
+                })
+                .collect(),
+        );
+        // Each scheme is applied mid-run (after 5 of the 10 steps).
+        let schemes = [
+            ("bf16", None),
+            ("fp4", Some(Scheme::uniform(Precision::Fp4, n))),
+            ("mixed", Some(mixed)),
+        ];
+        for moments in [MomentPrecision::F32, MomentPrecision::PackedFp8] {
+            for (name, scheme) in &schemes {
+                let case = format!("{moments:?} × {name}");
+                let cfg = TrainerConfig::tiny().with_moment_precision(moments);
+                let mut t = Trainer::new(cfg).unwrap();
+                let _ = t.train(5);
+                if let Some(scheme) = scheme {
+                    t.apply_scheme(scheme);
+                }
+                let _ = t.train(5);
+                t.save(&path).unwrap();
+                let mut restored = Trainer::load(&path).unwrap();
+                assert_eq!(restored.step_count(), t.step_count());
+                // The whole state — grads, the RNG's Gaussian spare, the
+                // stream position, packed moment codes — comes back.
+                assert!(
+                    serde_json::to_vec(&restored).unwrap() == serde_json::to_vec(&t).unwrap(),
+                    "{case}: reloaded state differs"
+                );
+                // Continuing from the checkpoint must match continuing the original.
+                let a = t.train(3);
+                let b = restored.train(3);
+                assert_eq!(a, b, "checkpoint resume must be bit-exact");
+                let bits = |l: &[f64]| l.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&a), bits(&b), "{case}: resumed losses differ in bits");
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -513,7 +626,7 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("snip_trainer_packed_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ckpt.json");
+        let path = dir.join("trainer.ckpt");
         t.save(&path).unwrap();
         let mut restored = Trainer::load(&path).unwrap();
         let a = t.train(3);

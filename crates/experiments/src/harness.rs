@@ -124,10 +124,12 @@ fn cache_dir() -> PathBuf {
 
 /// Builds (or loads a cached) BF16 checkpoint of `model` trained for
 /// `steps`. Mirrors the paper's protocol of resuming public intermediate
-/// checkpoints (§6.1).
+/// checkpoints (§6.1). A cache entry that fails to load — damaged, or
+/// written in an older format — is rebuilt from the longest loadable
+/// earlier checkpoint of the same lineage, or from scratch.
 pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams) -> Trainer {
     let key = format!(
-        "{}-s{}-b{}x{}.json",
+        "{}-s{}-b{}x{}.ckpt",
         model.name, steps, p.batch_size, p.seq_len
     );
     let path = cache_dir().join(&key);
@@ -140,7 +142,7 @@ pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams) -> Trainer {
     let mut trainer = None;
     if let Ok(entries) = std::fs::read_dir(cache_dir()) {
         let prefix = format!("{}-s", model.name);
-        let suffix = format!("-b{}x{}.json", p.batch_size, p.seq_len);
+        let suffix = format!("-b{}x{}.ckpt", p.batch_size, p.seq_len);
         let mut best: Option<(u64, PathBuf)> = None;
         for e in entries.flatten() {
             let name = e.file_name().to_string_lossy().to_string();
@@ -165,10 +167,8 @@ pub fn checkpoint(model: ModelConfig, steps: u64, p: &ExpParams) -> Trainer {
     while trainer.step_count() < steps {
         trainer.train_step();
     }
-    let tmp = path.with_extension("tmp");
-    if trainer.save(&tmp).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
+    // `save` is atomic; a failed write only costs the cache entry.
+    let _ = trainer.save(&path);
     trainer
 }
 
@@ -354,6 +354,25 @@ mod tests {
         // Second call loads from cache and extends to a later step.
         let t2 = checkpoint(ModelConfig::tiny_test(), 6, &p);
         assert_eq!(t2.step_count(), 6);
+        // A cache entry in the old JSON format is a typed load error, so
+        // the entry is rebuilt (bit-identically) and rewritten as binary.
+        let key = dir.join(format!(
+            "{}-s6-b{}x{}.ckpt",
+            ModelConfig::tiny_test().name,
+            p.batch_size,
+            p.seq_len
+        ));
+        std::fs::write(&key, serde_json::to_vec(&t2).unwrap()).unwrap();
+        assert!(matches!(
+            Trainer::load(&key),
+            Err(snip_core::CheckpointError::Format(_))
+        ));
+        let t3 = checkpoint(ModelConfig::tiny_test(), 6, &p);
+        assert_eq!(
+            serde_json::to_vec(&t3).unwrap(),
+            serde_json::to_vec(&t2).unwrap()
+        );
+        assert_eq!(Trainer::load(&key).unwrap().step_count(), 6);
         std::env::remove_var("SNIP_CKPT_DIR");
         let _ = std::fs::remove_dir_all(&dir);
     }

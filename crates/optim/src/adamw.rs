@@ -29,7 +29,7 @@ use snip_quant::format::FloatFormat;
 use snip_quant::granularity::Granularity;
 use snip_quant::{Quantizer, Rounding};
 use snip_tensor::rng::Rng;
-use snip_tensor::{QTensor, Tensor};
+use snip_tensor::{BulkSlot, QTensor, Tensor};
 
 /// Storage precision of the AdamW moment state.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -224,6 +224,27 @@ impl AdamW {
     /// `snip_nn::model::StepOutput::linear_cache_bytes`.
     pub fn moment_state_bytes(&self) -> usize {
         self.states.iter().map(StoredMoments::resident_bytes).sum()
+    }
+
+    /// Lends every stored moment buffer to `f`, in parameter (visit) order:
+    /// per parameter `m` then `v`, each as its f32 elements when dense or
+    /// as packed codes then tile scales under
+    /// [`MomentPrecision::PackedFp8`]. The trainer checkpoint walks this
+    /// right after the model's parameters, so moments are saved as their
+    /// stored bytes — packed FP8 codes stay packed, never decimal text.
+    pub fn visit_bulk_mut(&mut self, f: &mut dyn FnMut(BulkSlot<'_>)) {
+        for st in &mut self.states {
+            match st {
+                StoredMoments::Dense { m, v } => {
+                    m.visit_bulk_mut(f);
+                    v.visit_bulk_mut(f);
+                }
+                StoredMoments::PackedFp8 { m, v } => {
+                    m.visit_bulk_mut(f);
+                    v.visit_bulk_mut(f);
+                }
+            }
+        }
     }
 
     /// Applies one AdamW update to every parameter of the model using the

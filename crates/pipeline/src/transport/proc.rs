@@ -60,7 +60,8 @@ use crate::collective::{CollectiveResult, QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
 use snip_core::{Trainer, TrainerConfig};
 use snip_quant::{
-    crc32, stream_frame, StreamDecoder, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    crc32, stream_envelope, stream_frame, StreamDecoder, STREAM_ENVELOPE_BYTES,
+    STREAM_MAX_FRAME_BYTES,
 };
 use snip_tensor::rng::Rng;
 use std::io::{ErrorKind, Read, Write};
@@ -475,8 +476,7 @@ impl Fabric for SocketFabric {
         };
         let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
         let write = |w: &mut UnixStream| -> std::io::Result<()> {
-            w.write_all(&(frame.len() as u32).to_le_bytes())?;
-            w.write_all(&crc32(&frame).to_le_bytes())?;
+            w.write_all(&stream_envelope(&frame))?;
             w.write_all(&frame)
         };
         write(writer).map_err(|e| match e.kind() {

@@ -59,8 +59,9 @@ pub use codebook::Codebook;
 pub use packed::{PackedOutlier, PackedQuantize, PackedTensor};
 pub use quantizer::{Quantizer, Rounding};
 pub use wire::{
-    crc32, stream_frame, StreamDecoder, StreamError, WireError, STREAM_CRC_BYTES,
-    STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES, STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
+    crc32, split_stream_frame, stream_envelope, stream_frame, StreamDecoder, StreamError,
+    WireError, STREAM_CRC_BYTES, STREAM_ENVELOPE_BYTES, STREAM_MAX_FRAME_BYTES,
+    STREAM_PREFIX_BYTES, WIRE_HEADER_BYTES,
 };
 
 use format::FloatFormat;

@@ -487,11 +487,14 @@ impl PackedTensor {
     }
 }
 
-/// IEEE 802.3 CRC32 lookup table (reflected polynomial `0xEDB88320`),
-/// built at compile time — the dependency-free checksum behind the stream
-/// envelope.
-const CRC32_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// IEEE 802.3 CRC32 slicing-by-8 tables (reflected polynomial
+/// `0xEDB88320`), built at compile time — the dependency-free checksum
+/// behind the stream envelope. `CRC32_TABLES[0]` is the classic bytewise
+/// table; `CRC32_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+/// bytes, so one lookup per byte of an 8-byte word advances the register
+/// by the whole word.
+const CRC32_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -504,19 +507,47 @@ const CRC32_TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
-/// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Table-driven and
-/// dependency-free; used by [`stream_frame`] / [`StreamDecoder`] to detect
-/// payload corruption at the framing layer.
+/// IEEE CRC32 (the zlib/Ethernet polynomial) of `bytes`. Slicing-by-8:
+/// eight table lookups fold each 8-byte word into the register, and the
+/// tail (fewer than 8 bytes) runs the bytewise loop — bit-identical to the
+/// one-byte-at-a-time definition (property-tested against it in
+/// `tests/wire_stream.rs`). Used by [`stream_frame`] / [`StreamDecoder`] to
+/// detect payload corruption at the framing layer and by the trainer
+/// checkpoint container.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC32_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -583,16 +614,59 @@ impl std::error::Error for StreamError {}
 /// Panics if `body` exceeds [`STREAM_MAX_FRAME_BYTES`] (no frame this crate
 /// produces comes near it).
 pub fn stream_frame(body: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(STREAM_ENVELOPE_BYTES + body.len());
+    out.extend_from_slice(&stream_envelope(body));
+    out.extend_from_slice(body);
+    out
+}
+
+/// The [`STREAM_ENVELOPE_BYTES`]-byte envelope [`stream_frame`] puts in
+/// front of `body`, for writers that send the body from its own buffer
+/// instead of copying it into a frame.
+///
+/// # Panics
+///
+/// Panics if `body` exceeds [`STREAM_MAX_FRAME_BYTES`].
+pub fn stream_envelope(body: &[u8]) -> [u8; STREAM_ENVELOPE_BYTES] {
     assert!(
         body.len() <= STREAM_MAX_FRAME_BYTES,
         "frame body of {} bytes exceeds the stream bound",
         body.len()
     );
-    let mut out = Vec::with_capacity(STREAM_ENVELOPE_BYTES + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
-    out
+    let mut env = [0u8; STREAM_ENVELOPE_BYTES];
+    env[..STREAM_PREFIX_BYTES].copy_from_slice(&(body.len() as u32).to_le_bytes());
+    env[STREAM_PREFIX_BYTES..].copy_from_slice(&crc32(body).to_le_bytes());
+    env
+}
+
+/// Parses the [`stream_frame`] at the head of `bytes` without copying:
+/// returns the verified body and the bytes the frame occupies (envelope +
+/// body). [`StreamError::Truncated`] if `bytes` ends inside the frame,
+/// [`StreamError::Oversize`] for an implausible length prefix (judged
+/// before the body is awaited), [`StreamError::Crc`] for a damaged body.
+pub fn split_stream_frame(bytes: &[u8]) -> Result<(&[u8], usize), StreamError> {
+    let got = bytes.len();
+    if got < STREAM_PREFIX_BYTES {
+        return Err(StreamError::Truncated {
+            need: STREAM_ENVELOPE_BYTES,
+            got,
+        });
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes")) as usize;
+    if len > STREAM_MAX_FRAME_BYTES {
+        return Err(StreamError::Oversize { len: len as u32 });
+    }
+    let need = STREAM_ENVELOPE_BYTES + len;
+    if got < need {
+        return Err(StreamError::Truncated { need, got });
+    }
+    let expect = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+    let body = &bytes[STREAM_ENVELOPE_BYTES..need];
+    let got = crc32(body);
+    if got != expect {
+        return Err(StreamError::Crc { expect, got });
+    }
+    Ok((body, need))
 }
 
 /// Incremental decoder for a stream of [`stream_frame`]-encoded frames.
@@ -634,26 +708,12 @@ impl StreamDecoder {
     /// not a plausible frame, or [`StreamError::Crc`] if the body fails its
     /// envelope checksum.
     pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, StreamError> {
-        if self.pending_len() < STREAM_PREFIX_BYTES {
-            return Ok(None);
-        }
-        let at = self.read;
-        let len = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes")) as usize;
-        // Judge the length as soon as the prefix is in: an implausible
-        // prefix fails fast without waiting for the rest of the envelope.
-        if len > STREAM_MAX_FRAME_BYTES {
-            return Err(StreamError::Oversize { len: len as u32 });
-        }
-        if self.pending_len() < STREAM_ENVELOPE_BYTES + len {
-            return Ok(None);
-        }
-        let expect = u32::from_le_bytes(self.buf[at + 4..at + 8].try_into().expect("4 bytes"));
-        let body = self.buf[at + STREAM_ENVELOPE_BYTES..at + STREAM_ENVELOPE_BYTES + len].to_vec();
-        let got = crc32(&body);
-        if got != expect {
-            return Err(StreamError::Crc { expect, got });
-        }
-        self.read = at + STREAM_ENVELOPE_BYTES + len;
+        let (body, used) = match split_stream_frame(&self.buf[self.read..]) {
+            Ok((body, used)) => (body.to_vec(), used),
+            Err(StreamError::Truncated { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
+        self.read += used;
         // Compact once the consumed prefix dominates, so the buffer does not
         // grow without bound across a long-lived link.
         if self.read > 4096 && self.read * 2 > self.buf.len() {

@@ -173,6 +173,55 @@ fn crc32_matches_the_ieee_check_vector() {
     // The canonical CRC-32/ISO-HDLC check value: crc32("123456789").
     assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     assert_eq!(crc32(b""), 0);
+    assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+}
+
+/// The one-byte-at-a-time table CRC32: the definition the slicing-by-8
+/// `crc32` must reproduce bit for bit.
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let table: Vec<u32> = (0..256u32)
+        .map(|i| {
+            (0..8).fold(i, |c, _| {
+                if c & 1 != 0 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                }
+            })
+        })
+        .collect();
+    !bytes.iter().fold(0xFFFF_FFFFu32, |c, &b| {
+        table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Slicing-by-8 equals the bytewise reference at every length from 0
+    /// to 4096 and at every start offset mod 8, so each word-loop/tail
+    /// split and each misaligned word read is covered.
+    #[test]
+    fn crc32_matches_the_bytewise_reference(
+        bytes in proptest::collection::vec(0u8..=255, 0..4104),
+        len in 0usize..=4096,
+        start in 0usize..8,
+    ) {
+        let end = (start + len).min(bytes.len());
+        let slice = &bytes[start.min(end)..end];
+        prop_assert_eq!(crc32(slice), crc32_bytewise(slice));
+    }
+}
+
+#[test]
+fn crc32_matches_the_bytewise_reference_at_every_short_length() {
+    let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+    for start in 0..8 {
+        for end in start..bytes.len() {
+            let s = &bytes[start..end];
+            assert_eq!(crc32(s), crc32_bytewise(s), "bytes[{start}..{end}]");
+        }
+    }
 }
 
 #[test]

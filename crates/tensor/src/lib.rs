@@ -46,6 +46,7 @@
 //! ```
 
 pub mod bf16;
+pub mod bulk;
 mod engine;
 pub mod matmul;
 pub mod ops;
@@ -54,6 +55,7 @@ pub mod pool;
 pub mod rng;
 mod tensor;
 
+pub use bulk::{BulkBuf, BulkSlot};
 pub use engine::simd;
 pub use packed::{CodeWidth, GroupLayout, QOperandRef, QTensor};
 // The shared env-var parse + warn-once helper. It lives in `snip-obs`

@@ -37,6 +37,7 @@
 //! by `snip-quant`, which knows about FP4/FP8/INT codecs. [`GroupLayout`]
 //! mirrors the scaling granularities at the storage level.
 
+use crate::bulk::{BulkBuf, BulkSlot};
 use crate::engine::Round;
 use crate::matmul::{for_each_row_chunk, parts_for, DECODE_PARALLEL_THRESHOLD};
 use crate::Tensor;
@@ -576,6 +577,41 @@ impl QTensor {
             },
         );
         t
+    }
+
+    /// Lends the code bytes, then the group scales, to `f` with the
+    /// lengths the shape, width and layout imply (see [`crate::bulk`]).
+    /// Both lengths are `None` unless the metadata satisfies the type's
+    /// invariants — decode table sized for the width, a nonzero group
+    /// width, the cached column-group count, no overflow — so a loader
+    /// that fills exactly the implied lengths restores a valid tensor.
+    pub fn visit_bulk_mut(&mut self, f: &mut dyn FnMut(BulkSlot<'_>)) {
+        let lens = self.bulk_lens();
+        f(BulkSlot {
+            len: lens.map(|l| l.0),
+            buf: BulkBuf::U8(&mut self.data),
+        });
+        f(BulkSlot {
+            len: lens.map(|l| l.1),
+            buf: BulkBuf::F32(&mut self.scales),
+        });
+    }
+
+    /// `(code bytes, scale count)` implied by the metadata, or `None` if
+    /// the metadata is inconsistent.
+    fn bulk_lens(&self) -> Option<(usize, usize)> {
+        let (rows, cols) = (self.rows, self.cols);
+        let groups = match self.layout {
+            GroupLayout::Block { nb: 0 } | GroupLayout::Tile { nb: 0 } => return None,
+            _ if rows == 0 || cols == 0 => 0,
+            GroupLayout::Block { nb } => rows.div_ceil(nb).checked_mul(cols.div_ceil(nb))?,
+            GroupLayout::Tile { nb } => rows.checked_mul(cols.div_ceil(nb))?,
+            layout => layout.group_count(rows, cols),
+        };
+        let consistent = self.lut.len() == self.width.lut_len()
+            && self.col_groups == self.layout.col_groups(cols);
+        let codes = rows.checked_mul(self.width.row_bytes(cols))?;
+        consistent.then_some((codes, groups))
     }
 
     /// Bytes of packed code storage (what HBM would hold for the elements).

@@ -1,5 +1,6 @@
 //! Dense row-major 2-D `f32` tensor.
 
+use crate::bulk::{BulkBuf, BulkSlot};
 use crate::rng::Rng;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -130,6 +131,16 @@ impl Tensor {
     /// Consumes the tensor, returning the backing buffer.
     pub fn into_vec(self) -> Vec<f32> {
         self.data
+    }
+
+    /// Lends the element buffer to `f` with its shape-implied length
+    /// `rows * cols` (see [`crate::bulk`]): the hook a checkpoint container
+    /// uses to move the numbers out of band and back.
+    pub fn visit_bulk_mut(&mut self, f: &mut dyn FnMut(BulkSlot<'_>)) {
+        f(BulkSlot {
+            len: self.rows.checked_mul(self.cols),
+            buf: BulkBuf::F32(&mut self.data),
+        });
     }
 
     /// Immutable view of row `r`.
