@@ -62,7 +62,8 @@
 
 use super::fabric::{channel_mesh, ChannelFabric, Fabric, TransportError};
 use super::{
-    check_world, drive_endpoints, step_comm_rng, Endpoint, LinkCounters, RankChunk, TransportStats,
+    all_reduce_grads, check_world, drive_endpoints, step_comm_rng, Endpoint, LinkCounters,
+    RankChunk, TransportStats,
 };
 use crate::collective::{QuantizePolicy, Wire};
 use serde::{Deserialize, Serialize};
@@ -473,6 +474,15 @@ impl<F: Fabric> Fabric for ChaosFabric<F> {
         Ok((frame, wire))
     }
 
+    fn flush(&mut self) -> Result<(), TransportError> {
+        // Not an operation on the fault clock: a killed fabric already
+        // flushed when its inner backend was dropped.
+        match self.inner.as_mut() {
+            Some(inner) => inner.flush(),
+            None => Ok(()),
+        }
+    }
+
     fn set_recv_deadline(&mut self, deadline: Duration) {
         if let Some(inner) = self.inner.as_mut() {
             inner.set_recv_deadline(deadline);
@@ -537,13 +547,15 @@ pub fn chaos_all_reduce(
     })
 }
 
-/// The fallible twin of [`super::dp_train_loop`]: one rank's synchronous
+/// The fallible twin of [`super::dp_train_loop`], running the same
+/// gradient sync ([`super::all_reduce_grads`]): one rank's synchronous
 /// data-parallel loop where a transport failure mid-step rolls the step
 /// back ([`Trainer::try_train_step_with_grad_hook`]) and returns the
 /// typed error alongside the losses of the steps that completed. Because
 /// wire randomness is re-derived per step from the trainer's **absolute**
-/// step count ([`super::step_comm_rng`]), a retried step replays the
-/// identical wire stream an unfaulted run would have used.
+/// step count and forked per tensor ([`super::step_comm_rng`]), a retried
+/// step replays the identical wire streams an unfaulted run would have
+/// used.
 pub(crate) fn dp_train_loop_fallible<F: Fabric>(
     ep: &mut Endpoint<F>,
     trainer: &mut Trainer,
@@ -552,30 +564,11 @@ pub(crate) fn dp_train_loop_fallible<F: Fabric>(
     policy: QuantizePolicy,
     comm_seed: u64,
 ) -> (Vec<f64>, Option<TransportError>) {
-    let inv_world = 1.0 / ep.world() as f32;
     let mut losses = Vec::with_capacity(steps as usize);
     for _ in 0..steps {
-        let step = trainer.step_count();
-        let mut rng = step_comm_rng(comm_seed, ep.rank(), step);
+        let step_rng = step_comm_rng(comm_seed, ep.rank(), trainer.step_count());
         let result = trainer.try_train_step_with_grad_hook(&mut |model| {
-            let mut failed: Option<TransportError> = None;
-            model.visit_params_mut(&mut |p| {
-                if failed.is_some() {
-                    return;
-                }
-                match ep.ring_all_reduce(p.grad().as_slice(), wire, policy, &mut rng) {
-                    Ok(reduced) => {
-                        for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&reduced) {
-                            *g = v * inv_world;
-                        }
-                    }
-                    Err(e) => failed = Some(e),
-                }
-            });
-            match failed {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
+            all_reduce_grads(ep, model, wire, policy, &step_rng)
         });
         match result {
             Ok(loss) => losses.push(loss),

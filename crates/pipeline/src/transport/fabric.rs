@@ -142,6 +142,12 @@ pub trait Fabric {
     /// Ships one frame to `dst`. Returns the total wire bytes moved — the
     /// frame plus any per-frame transport overhead (e.g. a stream length
     /// prefix), so callers can account envelope bytes honestly per backend.
+    ///
+    /// A backend may queue the frame instead of writing it at once, as long
+    /// as it writes everything queued before blocking in
+    /// [`Fabric::recv_frame`], on [`Fabric::flush`], and when dropped — so
+    /// a ring hop can post all its frames and then receive without either
+    /// side waiting on bytes still sitting in a queue.
     fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError>;
 
     /// Blocks for the next frame from `src` (per-link FIFO). Returns the
@@ -150,6 +156,13 @@ pub trait Fabric {
     /// [`Fabric::set_recv_deadline`]) before failing with
     /// [`TransportError::Timeout`].
     fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError>;
+
+    /// Writes every frame [`Fabric::send_frame`] has queued. A no-op for
+    /// backends that send eagerly (the default); the socket fabric writes
+    /// its per-link outboxes here.
+    fn flush(&mut self) -> Result<(), TransportError> {
+        Ok(())
+    }
 
     /// Bounds how long [`Fabric::recv_frame`] waits for a stalled peer.
     /// The default implementation is a no-op for backends that cannot

@@ -41,6 +41,15 @@ pub enum FrameError {
     },
     /// The packed body failed to deserialize.
     Packed(WireError),
+    /// A well-formed frame carried a different number of elements than
+    /// the ring schedule expects at this hop (the peers disagree on the
+    /// tensor lengths).
+    Elements {
+        /// Elements the schedule expects.
+        expect: usize,
+        /// Elements the frame decoded to.
+        got: usize,
+    },
 }
 
 impl std::fmt::Display for FrameError {
@@ -55,6 +64,9 @@ impl std::fmt::Display for FrameError {
                 )
             }
             FrameError::Packed(e) => write!(f, "packed frame body: {e}"),
+            FrameError::Elements { expect, got } => {
+                write!(f, "frame holds {got} elements, the ring expects {expect}")
+            }
         }
     }
 }

@@ -71,6 +71,7 @@ pub use frame::FrameError;
 use crate::collective::{chunk_bounds, CollectiveResult, QuantizePolicy, Wire};
 use frame::{decode_frame, encode_frame};
 use snip_core::Trainer;
+use snip_nn::Model;
 use snip_tensor::rng::Rng;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -349,14 +350,29 @@ impl<F: Fabric> Endpoint<F> {
     }
 
     /// Point-to-point send (pipeline p2p): quantizes `payload` through the
-    /// wire's codec, serializes, and ships the frame to `dst`. Returns the
-    /// payload bytes moved (counted on the `self → dst` link).
+    /// wire's codec, serializes, and ships the frame to `dst` — written to
+    /// the link before this returns, even on a fabric that queues sends.
+    /// Returns the payload bytes moved (counted on the `self → dst` link).
     ///
     /// # Errors
     ///
     /// [`TransportError::PeerClosed`] if `dst`'s link is gone, or the
     /// backend's I/O failure.
     pub fn send(
+        &mut self,
+        dst: usize,
+        payload: &[f32],
+        wire: &Wire,
+        rng: &mut Rng,
+    ) -> Result<u64, TransportError> {
+        let bytes = self.post(dst, payload, wire, rng)?;
+        self.fabric.flush().inspect_err(note_transport_failure)?;
+        Ok(bytes)
+    }
+
+    /// Encodes one frame and hands it to the fabric, which may queue it
+    /// until the next flush point (see [`Fabric::send_frame`]).
+    fn post(
         &mut self,
         dst: usize,
         payload: &[f32],
@@ -396,10 +412,30 @@ impl<F: Fabric> Endpoint<F> {
         Ok(payload)
     }
 
+    /// Receives the next frame from `src` as a ring chunk of `expect`
+    /// elements; a frame of any other length is a typed
+    /// [`FrameError::Elements`] error.
+    fn recv_chunk(&mut self, src: usize, expect: usize) -> Result<Vec<f32>, TransportError> {
+        let payload = self.recv(src)?;
+        if payload.len() != expect {
+            let e = TransportError::Frame {
+                src,
+                error: FrameError::Elements {
+                    expect,
+                    got: payload.len(),
+                },
+            };
+            note_transport_failure(&e);
+            return Err(e);
+        }
+        Ok(payload)
+    }
+
     /// Ring reduce-scatter over serialized frames. Bit-identical to
     /// [`crate::collective::ring_reduce_scatter_ranked`] run with each
     /// rank's RNG stream: after `world − 1` hops this rank owns the fully
-    /// reduced chunk `(rank + 1) % world`.
+    /// reduced chunk `(rank + 1) % world`. The one-tensor case of
+    /// [`Endpoint::ring_reduce_scatter_many`].
     ///
     /// # Errors
     ///
@@ -411,33 +447,60 @@ impl<F: Fabric> Endpoint<F> {
         policy: QuantizePolicy,
         rng: &mut Rng,
     ) -> Result<RankChunk, TransportError> {
-        let (r, w) = (self.rank(), self.world());
-        let bounds = chunk_bounds(grad.len(), w);
         let mut local = grad.to_vec();
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        let exact = Wire::exact();
-        for s in 0..w.saturating_sub(1) {
-            let hop_wire = if policy == QuantizePolicy::EveryHop {
-                wire
-            } else {
-                &exact
-            };
-            let c = (r + w - s % w) % w;
-            let (lo, hi) = bounds[c];
-            self.send(next, &local[lo..hi], hop_wire, rng)?;
-            let cp = (prev + w - s % w) % w;
-            let (plo, _) = bounds[cp];
-            for (i, v) in self.recv(prev)?.iter().enumerate() {
-                local[plo + i] += v;
-            }
-        }
-        let (lo, hi) = bounds[(r + 1) % w];
-        let mut data = local[lo..hi].to_vec();
-        if policy == QuantizePolicy::FinalOnly {
-            wire.quantize(&mut data, rng);
-        }
-        Ok(RankChunk { lo, hi, data })
+        let mut chunks = self.ring_reduce_scatter_many(
+            &mut local,
+            &[grad.len()],
+            wire,
+            policy,
+            std::slice::from_mut(rng),
+        )?;
+        Ok(chunks.pop().expect("one tensor in, one chunk out"))
+    }
+
+    /// Hop-major ring reduce-scatter of several tensors at once. Tensor `t`
+    /// occupies the next `lens[t]` elements of `flat` (laid end to end) and
+    /// draws its wire randomness from `rngs[t]` alone, so each tensor's
+    /// chunk — and the state its stream is left in — is bit-identical to
+    /// [`Endpoint::ring_reduce_scatter`] run on that tensor with that
+    /// stream. At every hop the rank posts its frame for *every* tensor
+    /// before receiving any, so a `T`-tensor collective waits on `world −
+    /// 1` round trips instead of `T × (world − 1)`. `flat` is the
+    /// accumulation buffer: on return it holds each tensor's reduced owned
+    /// chunk in place (and partial sums elsewhere). Returns one
+    /// [`RankChunk`] per tensor, bounds relative to that tensor.
+    ///
+    /// # Errors
+    ///
+    /// Any [`TransportError`] surfaced by the fabric mid-ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` does not sum to `flat.len()` or `rngs.len()`
+    /// differs from `lens.len()`.
+    pub fn ring_reduce_scatter_many(
+        &mut self,
+        flat: &mut [f32],
+        lens: &[usize],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &mut [Rng],
+    ) -> Result<Vec<RankChunk>, TransportError> {
+        let layout = RingLayout::new(flat.len(), lens, rngs.len(), self.world());
+        self.ring_hops(flat, &layout, wire, policy, rngs, Phase::ReduceScatter)?;
+        let own = (self.rank() + 1) % self.world();
+        Ok(layout
+            .tensors
+            .iter()
+            .map(|(off, chunks)| {
+                let (lo, hi) = chunks[own];
+                RankChunk {
+                    lo: lo - off,
+                    hi: hi - off,
+                    data: flat[lo..hi].to_vec(),
+                }
+            })
+            .collect())
     }
 
     /// Ring all-gather of the reduce-scatter result: every rank ends with
@@ -447,6 +510,10 @@ impl<F: Fabric> Endpoint<F> {
     /// # Errors
     ///
     /// Any [`TransportError`] surfaced by the fabric mid-ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `chunk` is not this rank's chunk of an `n`-element vector.
     pub fn ring_all_gather(
         &mut self,
         chunk: &RankChunk,
@@ -455,36 +522,18 @@ impl<F: Fabric> Endpoint<F> {
         policy: QuantizePolicy,
         rng: &mut Rng,
     ) -> Result<Vec<f32>, TransportError> {
-        let (r, w) = (self.rank(), self.world());
-        let bounds = chunk_bounds(n, w);
-        let mut have: Vec<Option<Vec<f32>>> = vec![None; w];
-        have[(r + 1) % w] = Some(chunk.data.clone());
-        let next = (r + 1) % w;
-        let prev = (r + w - 1) % w;
-        let exact = Wire::exact();
-        for s in 0..w.saturating_sub(1) {
-            let hop_wire = if policy == QuantizePolicy::EveryHop {
-                wire
-            } else {
-                &exact
-            };
-            let c = (r + 1 + w - s % w) % w;
-            let payload = have[c]
-                .as_ref()
-                .expect("ring schedule guarantees possession");
-            self.send(next, payload, hop_wire, rng)?;
-            let cp = (prev + 1 + w - s % w) % w;
-            have[cp] = Some(self.recv(prev)?);
-        }
+        let layout = RingLayout::new(n, &[n], 1, self.world());
+        let (lo, hi) = layout.tensors[0].1[(self.rank() + 1) % self.world()];
         let mut full = vec![0.0f32; n];
-        for (c, (lo, hi)) in bounds.iter().enumerate() {
-            full[*lo..*hi].copy_from_slice(have[c].as_ref().expect("all chunks gathered"));
-        }
+        full[lo..hi].copy_from_slice(&chunk.data);
+        let rngs = std::slice::from_mut(rng);
+        self.ring_hops(&mut full, &layout, wire, policy, rngs, Phase::AllGather)?;
         Ok(full)
     }
 
     /// Ring all-reduce: reduce-scatter followed by all-gather. Returns this
-    /// rank's copy of the reduced vector.
+    /// rank's copy of the reduced vector. The one-tensor case of
+    /// [`Endpoint::ring_all_reduce_many`].
     ///
     /// # Errors
     ///
@@ -496,8 +545,141 @@ impl<F: Fabric> Endpoint<F> {
         policy: QuantizePolicy,
         rng: &mut Rng,
     ) -> Result<Vec<f32>, TransportError> {
-        let chunk = self.ring_reduce_scatter(grad, wire, policy, rng)?;
-        self.ring_all_gather(&chunk, grad.len(), wire, policy, rng)
+        let mut full = grad.to_vec();
+        self.ring_all_reduce_many(
+            &mut full,
+            &[grad.len()],
+            wire,
+            policy,
+            std::slice::from_mut(rng),
+        )?;
+        Ok(full)
+    }
+
+    /// Hop-major ring all-reduce of several tensors laid end to end in
+    /// `flat`, reduced **in place**: on return every tensor's segment holds
+    /// this rank's copy of its reduced vector, bit-identical to
+    /// [`Endpoint::ring_all_reduce`] run on that tensor with `rngs[t]` (see
+    /// [`Endpoint::ring_reduce_scatter_many`] for the schedule). Every rank
+    /// sends `lens.len() × 2(world − 1)` frames, one per tensor per hop.
+    ///
+    /// # Errors
+    ///
+    /// Any [`TransportError`] surfaced by the fabric mid-ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lens` does not sum to `flat.len()` or `rngs.len()`
+    /// differs from `lens.len()`.
+    pub fn ring_all_reduce_many(
+        &mut self,
+        flat: &mut [f32],
+        lens: &[usize],
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &mut [Rng],
+    ) -> Result<(), TransportError> {
+        let layout = RingLayout::new(flat.len(), lens, rngs.len(), self.world());
+        self.ring_hops(flat, &layout, wire, policy, rngs, Phase::ReduceScatter)?;
+        self.ring_hops(flat, &layout, wire, policy, rngs, Phase::AllGather)
+    }
+
+    /// `world − 1` hop-major ring hops over every tensor of `layout`. At
+    /// hop `s` the rank posts chunk `rank + lead − s` of each tensor to the
+    /// next rank, then takes chunk `rank + lead − 1 − s` of each from the
+    /// previous one — `lead` 0 for the reduce-scatter, which adds arrivals
+    /// into place, and 1 for the all-gather, which stores them (`flat` must
+    /// already hold each tensor's owned chunk `rank + 1`). Hops run at
+    /// `wire` under [`QuantizePolicy::EveryHop`]; under
+    /// [`QuantizePolicy::FinalOnly`] they run exact and the reduce-scatter
+    /// quantizes each owned chunk once at the end.
+    fn ring_hops(
+        &mut self,
+        flat: &mut [f32],
+        layout: &RingLayout,
+        wire: &Wire,
+        policy: QuantizePolicy,
+        rngs: &mut [Rng],
+        phase: Phase,
+    ) -> Result<(), TransportError> {
+        let (r, w) = (self.rank(), self.world());
+        let (next, prev) = ((r + 1) % w, (r + w - 1) % w);
+        let lead = usize::from(phase == Phase::AllGather);
+        let hop_wire = if policy == QuantizePolicy::EveryHop {
+            *wire
+        } else {
+            Wire::exact()
+        };
+        for s in 0..w - 1 {
+            let c = (r + lead + w - s) % w;
+            for ((_, chunks), rng) in layout.tensors.iter().zip(rngs.iter_mut()) {
+                let (lo, hi) = chunks[c];
+                self.post(next, &flat[lo..hi], &hop_wire, rng)?;
+            }
+            let cp = (prev + lead + w - s) % w;
+            for (_, chunks) in &layout.tensors {
+                let (lo, hi) = chunks[cp];
+                let got = self.recv_chunk(prev, hi - lo)?;
+                let held = &mut flat[lo..hi];
+                match phase {
+                    Phase::ReduceScatter => {
+                        for (acc, v) in held.iter_mut().zip(&got) {
+                            *acc += v;
+                        }
+                    }
+                    Phase::AllGather => held.copy_from_slice(&got),
+                }
+            }
+        }
+        if phase == Phase::ReduceScatter && policy == QuantizePolicy::FinalOnly {
+            let own = (r + 1) % w;
+            for ((_, chunks), rng) in layout.tensors.iter().zip(rngs.iter_mut()) {
+                let (lo, hi) = chunks[own];
+                let mut data = flat[lo..hi].to_vec();
+                wire.quantize(&mut data, rng);
+                flat[lo..hi].copy_from_slice(&data);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Which half of a ring all-reduce [`Endpoint::ring_hops`] runs.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    ReduceScatter,
+    AllGather,
+}
+
+/// Where each tensor of a hop-major collective lives in its flat buffer:
+/// `tensors[t] = (offset, chunks)`, with `chunks[c]` the absolute range of
+/// the tensor's ring chunk `c` ([`chunk_bounds`] shifted by the offset).
+struct RingLayout {
+    tensors: Vec<(usize, Vec<(usize, usize)>)>,
+}
+
+impl RingLayout {
+    fn new(flat_len: usize, lens: &[usize], streams: usize, world: usize) -> Self {
+        assert_eq!(
+            lens.iter().sum::<usize>(),
+            flat_len,
+            "tensor lengths must tile the flat buffer"
+        );
+        assert_eq!(streams, lens.len(), "need one RNG stream per tensor");
+        let mut off = 0;
+        let tensors = lens
+            .iter()
+            .map(|&n| {
+                let chunks = chunk_bounds(n, world)
+                    .into_iter()
+                    .map(|(lo, hi)| (off + lo, off + hi))
+                    .collect();
+                let entry = (off, chunks);
+                off += n;
+                entry
+            })
+            .collect();
+        RingLayout { tensors }
     }
 }
 
@@ -536,7 +718,11 @@ pub fn pipeline_relay<F: Fabric>(
 /// than running one stream across the whole loop) is what makes failure
 /// recovery exact: a rank that rolls a faulted step back and retries it
 /// replays the identical wire bytes an unfaulted run would have sent at
-/// that step, wherever in the run the retry happens.
+/// that step, wherever in the run the retry happens. Each gradient tensor
+/// then draws from its own fork of this stream — tensor `t` (in
+/// `visit_params_mut` order) from `step_comm_rng(..).fork(t)`, see
+/// [`all_reduce_grads`] — so no tensor's wire bits depend on the order the
+/// hop-major all-reduce quantizes the others in.
 pub(crate) fn step_comm_rng(comm_seed: u64, rank: usize, step: u64) -> Rng {
     Rng::seed_from(
         comm_seed
@@ -545,14 +731,45 @@ pub(crate) fn step_comm_rng(comm_seed: u64, rank: usize, step: u64) -> Rng {
     )
 }
 
+/// One data-parallel gradient sync, shared by both DP loops: gathers every
+/// parameter gradient in `visit_params_mut` order into one flat buffer,
+/// all-reduces them together ([`Endpoint::ring_all_reduce_many`], tensor
+/// `t` on stream `step_rng.clone().fork(t)`), and writes each reduced value
+/// back scaled by `1 / world`.
+pub(crate) fn all_reduce_grads<F: Fabric>(
+    ep: &mut Endpoint<F>,
+    model: &mut Model,
+    wire: &Wire,
+    policy: QuantizePolicy,
+    step_rng: &Rng,
+) -> Result<(), TransportError> {
+    let mut lens = Vec::new();
+    model.visit_params_mut(&mut |p| lens.push(p.grad().len()));
+    let mut flat = Vec::with_capacity(lens.iter().sum());
+    model.visit_params_mut(&mut |p| flat.extend_from_slice(p.grad().as_slice()));
+    let mut rngs: Vec<Rng> = (0..lens.len() as u64)
+        .map(|t| step_rng.clone().fork(t))
+        .collect();
+    ep.ring_all_reduce_many(&mut flat, &lens, wire, policy, &mut rngs)?;
+    let inv_world = 1.0 / ep.world() as f32;
+    let mut reduced = flat.iter();
+    model.visit_params_mut(&mut |p| {
+        for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&mut reduced) {
+            *g = v * inv_world;
+        }
+    });
+    Ok(())
+}
+
 /// One rank's synchronous data-parallel training loop: `steps` steps of
-/// `trainer`, each all-reducing every parameter gradient through `wire`
-/// (then averaging) before clipping and the optimizer update. Shared by the
-/// threaded and process DP paths so both run the identical step code. Wire
-/// randomness is re-derived every step from `(comm_seed, rank, absolute
-/// step index)` — see [`step_comm_rng`] — so the chaos recovery path
-/// ([`chaos::data_parallel_train_with_recovery`]) can replay a failed step
-/// bit-exactly.
+/// `trainer`, each all-reducing every parameter gradient through `wire` in
+/// one hop-major collective ([`all_reduce_grads`], then averaging) before
+/// clipping and the optimizer update. Shared by the threaded and process DP
+/// paths so both run the identical step code. Wire randomness is
+/// re-derived every step from `(comm_seed, rank, absolute step index)` and
+/// forked once per gradient tensor — see [`step_comm_rng`] — so the chaos
+/// recovery path ([`chaos::data_parallel_train_with_recovery`]) can replay
+/// a failed step bit-exactly.
 ///
 /// # Panics
 ///
@@ -567,19 +784,12 @@ pub(crate) fn dp_train_loop<F: Fabric>(
     policy: QuantizePolicy,
     comm_seed: u64,
 ) -> Vec<f64> {
-    let inv_world = 1.0 / ep.world() as f32;
     let mut losses = Vec::with_capacity(steps as usize);
     for _ in 0..steps {
-        let mut rng = step_comm_rng(comm_seed, ep.rank(), trainer.step_count());
+        let step_rng = step_comm_rng(comm_seed, ep.rank(), trainer.step_count());
         let out = trainer.train_step_output_with_grad_hook(&mut |model| {
-            model.visit_params_mut(&mut |p| {
-                let reduced = ep
-                    .ring_all_reduce(p.grad().as_slice(), wire, policy, &mut rng)
-                    .expect("data-parallel all-reduce failed");
-                for (g, v) in p.grad_mut().as_mut_slice().iter_mut().zip(&reduced) {
-                    *g = v * inv_world;
-                }
-            });
+            all_reduce_grads(ep, model, wire, policy, &step_rng)
+                .expect("data-parallel all-reduce failed");
         });
         losses.push(out.loss);
     }
@@ -755,7 +965,8 @@ pub(crate) fn check_world(grads: &[Vec<f32>], rngs: &[Rng]) {
 /// per-step losses, and the measured traffic.
 ///
 /// Wire randomness is derived per rank *and per step* from `comm_seed` and
-/// the absolute step index (`step_comm_rng`) — identical to
+/// the absolute step index (`step_comm_rng`), then forked once per
+/// gradient tensor — identical to
 /// [`proc::proc_data_parallel_train`], which must reproduce this run bit
 /// for bit, and to the chaos recovery driver, whose retried steps must
 /// replay this run's exact wire streams.
@@ -853,6 +1064,58 @@ mod tests {
                     for (a, b) in t.iter().zip(o) {
                         assert_eq!(a.to_bits(), b.to_bits(), "{} {policy:?}", wire.label());
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dp_gradient_sync_forks_one_wire_stream_per_tensor() {
+        // Tensor t of rank r must reduce exactly as the per-tensor oracle
+        // does on stream step_comm_rng(comm_seed, r, step).fork(t), then
+        // scale by 1 / world — under a stochastic wire, where the streams
+        // actually matter.
+        let (world, comm_seed, step, wire) = (2, 0x51, 7, Wire::fp4(16));
+        let cfg = snip_nn::ModelConfig::tiny_test();
+        let models: Vec<Model> = (0..world as u64)
+            .map(|r| {
+                let mut model = Model::new(cfg.clone(), 3).expect("model");
+                let mut g = Rng::seed_from(100 + r);
+                model.visit_params_mut(&mut |p| {
+                    g.fill_uniform(p.grad_mut().as_mut_slice(), -1.0, 1.0);
+                });
+                model
+            })
+            .collect();
+        let grads_of = |model: &Model| {
+            let mut model = model.clone();
+            let mut grads = Vec::new();
+            model.visit_params_mut(&mut |p| grads.push(p.grad().as_slice().to_vec()));
+            grads
+        };
+        let inputs: Vec<Vec<Vec<f32>>> = models.iter().map(grads_of).collect();
+        let (synced, _) = run_ranks(world, |ep| {
+            let mut model = models[ep.rank()].clone();
+            let step_rng = step_comm_rng(comm_seed, ep.rank(), step);
+            all_reduce_grads(ep, &mut model, &wire, QuantizePolicy::EveryHop, &step_rng)
+                .expect("gradient sync");
+            grads_of(&model)
+        });
+        assert!(inputs[0].len() > 1, "several tensors");
+        for t in 0..inputs[0].len() {
+            let grads: Vec<Vec<f32>> = inputs.iter().map(|g| g[t].clone()).collect();
+            let mut rngs: Vec<Rng> = (0..world)
+                .map(|r| step_comm_rng(comm_seed, r, step).fork(t as u64))
+                .collect();
+            let oracle = crate::collective::ring_all_reduce_ranked(
+                &grads,
+                &wire,
+                QuantizePolicy::EveryHop,
+                &mut rngs,
+            );
+            for (r, reduced) in oracle.per_rank.iter().enumerate() {
+                for (a, b) in synced[r][t].iter().zip(reduced) {
+                    assert_eq!(a.to_bits(), (b * 0.5).to_bits(), "rank {r} tensor {t}");
                 }
             }
         }

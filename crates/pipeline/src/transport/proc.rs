@@ -342,10 +342,24 @@ type LinkFrame = Result<Vec<u8>, TransportError>;
 /// length-prefixed frames, a reader thread per link reassembling frames
 /// from arbitrarily chunked reads (and keeping the socket drained, so bulk
 /// ring steps cannot deadlock on full kernel buffers).
+///
+/// Sends are **buffered**: `send_frame` appends the envelope and frame to
+/// the link's outbox, and the outbox goes out in one `write_all` before any
+/// blocking `recv_frame`, on [`Fabric::flush`] (which a public p2p
+/// [`Endpoint::send`] calls before returning), and in `Drop` ahead of the
+/// shutdown — so a ring hop's frames cost one write per link, and frames a
+/// chaos kill strands in the outbox are still delivered. A hop-major ring
+/// posts one hop before receiving, so an outbox never holds more than one
+/// hop's frames. A failed write surfaces as [`TransportError::PeerClosed`]
+/// / [`TransportError::Io`] naming the destination at that flush point;
+/// `Drop` cannot return it, so it only counts it in the `transport.*`
+/// failure counters.
 pub struct SocketFabric {
     rank: usize,
     world: usize,
     writers: Vec<Option<UnixStream>>,
+    /// `outboxes[dst]`: enveloped frames queued for `dst`, not yet written.
+    outboxes: Vec<Vec<u8>>,
     inboxes: Vec<Option<Receiver<LinkFrame>>>,
     /// Longest a `recv_frame` waits before reporting a stalled peer.
     deadline: Duration,
@@ -400,12 +414,17 @@ impl SocketFabric {
             }
             streams[peer] = Some(stream);
         }
+        Self::from_streams(rank, streams).map_err(|e| format!("starting link readers: {e}"))
+    }
+
+    /// Wraps one connected stream per peer (`None` for this rank itself)
+    /// in a fabric, handing each stream's read half to a reader thread.
+    fn from_streams(rank: usize, streams: Vec<Option<UnixStream>>) -> std::io::Result<Self> {
+        let world = streams.len();
         let mut inboxes: Vec<Option<Receiver<LinkFrame>>> = (0..world).map(|_| None).collect();
         for (peer, slot) in streams.iter().enumerate() {
             let Some(stream) = slot else { continue };
-            let read_half = stream
-                .try_clone()
-                .map_err(|e| format!("cloning the link to rank {peer}: {e}"))?;
+            let read_half = stream.try_clone()?;
             let (tx, rx) = channel();
             std::thread::spawn(move || reader_loop(read_half, peer, tx));
             inboxes[peer] = Some(rx);
@@ -414,10 +433,55 @@ impl SocketFabric {
             rank,
             world,
             writers: streams,
+            outboxes: vec![Vec::new(); world],
             inboxes,
             deadline: DEFAULT_RECV_DEADLINE,
         })
     }
+
+    /// Writes `dst`'s outbox in one `write_all`. The outbox is emptied
+    /// whether or not the write succeeds, so a failure is reported once.
+    fn flush_link(&mut self, dst: usize) -> Result<(), TransportError> {
+        let outbox = &mut self.outboxes[dst];
+        if outbox.is_empty() {
+            return Ok(());
+        }
+        let writer = self.writers[dst]
+            .as_mut()
+            .expect("frames are only queued on open links");
+        let written = writer.write_all(outbox);
+        outbox.clear();
+        written.map_err(|e| match e.kind() {
+            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
+                TransportError::PeerClosed { rank: dst }
+            }
+            _ => io_err(dst, &e),
+        })
+    }
+}
+
+/// An in-process full mesh of `world` socket fabrics, one per rank, joined
+/// by `UnixStream::pair` instead of a launcher handshake: the socket
+/// backend's framing, outboxes and reader threads, driven from threads.
+///
+/// # Errors
+///
+/// The OS error if a socket pair or a reader's stream clone fails.
+pub fn socket_pair_mesh(world: usize) -> std::io::Result<Vec<SocketFabric>> {
+    let mut streams: Vec<Vec<Option<UnixStream>>> = (0..world)
+        .map(|_| (0..world).map(|_| None).collect())
+        .collect();
+    let pairs = (0..world).flat_map(|a| (a + 1..world).map(move |b| (a, b)));
+    for (a, b) in pairs {
+        let (sa, sb) = UnixStream::pair()?;
+        streams[a][b] = Some(sa);
+        streams[b][a] = Some(sb);
+    }
+    streams
+        .into_iter()
+        .enumerate()
+        .map(|(rank, row)| SocketFabric::from_streams(rank, row))
+        .collect()
 }
 
 /// One link's read side: reassemble length-prefixed frames from whatever
@@ -471,24 +535,19 @@ impl Fabric for SocketFabric {
     }
 
     fn send_frame(&mut self, dst: usize, frame: Vec<u8>) -> Result<u64, TransportError> {
-        let Some(writer) = self.writers.get_mut(dst).and_then(Option::as_mut) else {
+        if self.writers.get(dst).and_then(Option::as_ref).is_none() {
             return Err(TransportError::PeerClosed { rank: dst });
-        };
-        let wire = (STREAM_ENVELOPE_BYTES + frame.len()) as u64;
-        let write = |w: &mut UnixStream| -> std::io::Result<()> {
-            w.write_all(&stream_envelope(&frame))?;
-            w.write_all(&frame)
-        };
-        write(writer).map_err(|e| match e.kind() {
-            ErrorKind::BrokenPipe | ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted => {
-                TransportError::PeerClosed { rank: dst }
-            }
-            _ => io_err(dst, &e),
-        })?;
-        Ok(wire)
+        }
+        let outbox = &mut self.outboxes[dst];
+        outbox.extend_from_slice(&stream_envelope(&frame));
+        outbox.extend_from_slice(&frame);
+        Ok((STREAM_ENVELOPE_BYTES + frame.len()) as u64)
     }
 
     fn recv_frame(&mut self, src: usize) -> Result<(Vec<u8>, u64), TransportError> {
+        // Peers may be waiting on our queued frames before they send the
+        // one we are about to block on.
+        self.flush()?;
         let Some(inbox) = self.inboxes.get(src).and_then(Option::as_ref) else {
             return Err(TransportError::PeerClosed { rank: src });
         };
@@ -507,6 +566,20 @@ impl Fabric for SocketFabric {
         }
     }
 
+    /// Writes every link's outbox, returning the first failure after
+    /// attempting them all (so one dead peer does not hold back frames the
+    /// live ones are waiting for).
+    fn flush(&mut self) -> Result<(), TransportError> {
+        let mut first = Ok(());
+        for dst in 0..self.world {
+            let flushed = self.flush_link(dst);
+            if first.is_ok() {
+                first = flushed;
+            }
+        }
+        first
+    }
+
     fn set_recv_deadline(&mut self, deadline: Duration) {
         self.deadline = deadline;
     }
@@ -514,6 +587,14 @@ impl Fabric for SocketFabric {
 
 impl Drop for SocketFabric {
     fn drop(&mut self) {
+        // Deliver what is still queued (a chaos kill drops the fabric
+        // mid-hop; frames already "sent" must still arrive). Nobody is left
+        // to return a failure to, so it is only counted.
+        for dst in 0..self.world {
+            if let Err(e) = self.flush_link(dst) {
+                super::note_transport_failure(&e);
+            }
+        }
         // Force EOF at every peer even while our reader threads still hold
         // clones of the streams — dropping the fabric *is* the abort
         // signal.
@@ -1347,7 +1428,8 @@ pub fn proc_pipeline_relay(
 /// Synchronous data-parallel training over the process fabric: each worker
 /// builds its own [`Trainer`] from its config and runs the same grad-hook
 /// loop as [`super::data_parallel_train`] (wire randomness re-derived per
-/// rank and per step from `comm_seed` and the absolute step index), so the
+/// rank and per step from `comm_seed` and the absolute step index, forked
+/// per gradient tensor), so the
 /// two backends produce bit-identical losses and final parameters for the
 /// same configs.
 ///

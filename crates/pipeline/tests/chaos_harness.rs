@@ -34,9 +34,12 @@ mod checks {
         chaos_all_reduce, chaos_reduce_scatter, chaos_run_ranks, data_parallel_train_chaos,
         data_parallel_train_with_recovery, ChaosPlan,
     };
-    use snip_pipeline::transport::proc::{proc_all_reduce, proc_all_reduce_chaos, ProcError};
+    use snip_pipeline::transport::proc::{
+        proc_all_reduce, proc_all_reduce_chaos, socket_pair_mesh, ProcError,
+    };
     use snip_pipeline::transport::{
-        data_parallel_train, threaded_all_reduce, threaded_reduce_scatter, TransportError,
+        data_parallel_train, threaded_all_reduce, threaded_reduce_scatter, Endpoint, Fabric,
+        TransportError,
     };
     use snip_quant::StreamError;
     use snip_tensor::rng::Rng;
@@ -527,6 +530,119 @@ mod checks {
         }
     }
 
+    /// The recovery contract under a stochastic wire: every gradient tensor
+    /// draws from its own fork of the per-step stream, so a killed and
+    /// retried FP4 run replays the calm run's wire bits exactly.
+    fn killed_and_retried_stochastic_dp_run_matches_the_calm_run() {
+        let cfgs: Vec<TrainerConfig> = (0..2u64)
+            .map(|rank| {
+                let mut cfg = TrainerConfig::tiny();
+                cfg.data_seed = 900 + rank;
+                cfg
+            })
+            .collect();
+        let fresh = || -> Vec<Trainer> {
+            cfgs.iter()
+                .map(|c| Trainer::new(c.clone()).expect("trainer"))
+                .collect()
+        };
+        let (wire, policy, comm_seed, steps) = (Wire::fp4(16), QuantizePolicy::EveryHop, 0x4F, 4);
+        let (calm_trainers, calm_losses, _) =
+            data_parallel_train(fresh(), steps, &wire, policy, comm_seed);
+        let plans = [ChaosPlan::kill(0xF4, 1, 40)];
+        let (recovered, losses, retries) =
+            data_parallel_train_with_recovery(fresh(), steps, &wire, policy, comm_seed, &plans, 3)
+                .expect("the retry must complete the run");
+        assert!(retries >= 1, "the kill must have cost at least one retry");
+        assert_eq!(
+            losses, calm_losses,
+            "fp4: loss trajectories must be identical"
+        );
+        for (rank, (a, b)) in recovered.iter().zip(&calm_trainers).enumerate() {
+            assert_eq!(
+                serde_json::to_vec(a).expect("serializes"),
+                serde_json::to_vec(b).expect("serializes"),
+                "fp4 rank {rank}: recovered state must be byte-identical to the calm run"
+            );
+        }
+    }
+
+    /// The socket fabric defers writes to per-link outboxes. Frames queued
+    /// for a peer that has died fail as a typed error naming that peer at
+    /// the next receive, or — with nobody left to return it to — are
+    /// counted when the fabric drops; either way exactly once in the
+    /// `transport.*` failure counters, within the recv deadline, never a
+    /// panic or a hang.
+    fn deferred_writes_to_a_dead_peer_fail_typed_and_once() {
+        let _on = snip_obs::enabled_scope(true);
+        let failures = || -> u64 {
+            ["transport.peer_closed", "transport.io_error"]
+                .iter()
+                .map(|c| snip_obs::counter_value(c))
+                .sum()
+        };
+        let names_rank_1 = |e: &TransportError| {
+            matches!(
+                e,
+                TransportError::PeerClosed { rank: 1 } | TransportError::Io { rank: 1, .. }
+            )
+        };
+        let deadline = Duration::from_secs(5);
+
+        // Queued, then the peer dies, then the receive that flushes.
+        let mut mesh = socket_pair_mesh(2).expect("socket mesh");
+        let rank1 = mesh.pop().expect("rank 1");
+        let mut rank0 = mesh.pop().expect("rank 0");
+        rank0.send_frame(1, vec![3u8; 64]).expect("queued");
+        drop(rank1);
+        let err = rank0.recv_frame(1).expect_err("the peer is dead");
+        assert!(names_rank_1(&err), "got {err:?}");
+        drop(rank0);
+
+        // Through an endpoint: a whole hop posted into the outbox, then
+        // the receive that flushes it into the dead link.
+        let mut mesh = socket_pair_mesh(2).expect("socket mesh");
+        drop(mesh.pop());
+        let mut ep = Endpoint::new(mesh.pop().expect("rank 0"));
+        ep.set_recv_deadline(deadline);
+        let before = failures();
+        let start = Instant::now();
+        let mut flat = vec![0.5f32; 3 * 40];
+        let mut rngs: Vec<Rng> = (0..3).map(Rng::seed_from).collect();
+        let err = ep
+            .ring_all_reduce_many(
+                &mut flat,
+                &[40, 40, 40],
+                &Wire::fp8(16),
+                QuantizePolicy::EveryHop,
+                &mut rngs,
+            )
+            .expect_err("the peer is dead");
+        assert!(start.elapsed() < deadline, "surfaced within the deadline");
+        assert!(names_rank_1(&err), "got {err:?}");
+        assert_eq!(
+            ep.stats().link_frames(0, 1),
+            3,
+            "the whole hop was queued before the receive"
+        );
+        drop(ep);
+        assert_eq!(failures() - before, 1, "one failure, counted once");
+
+        // At drop: a queued frame whose peer is gone is counted, not
+        // panicked on.
+        let mut mesh = socket_pair_mesh(2).expect("socket mesh");
+        drop(mesh.pop());
+        let mut rank0 = mesh.pop().expect("rank 0");
+        let before = failures();
+        rank0.send_frame(1, vec![7u8; 64]).expect("queued");
+        drop(rank0);
+        assert_eq!(
+            failures() - before,
+            1,
+            "the drop-time failure is counted once"
+        );
+    }
+
     pub fn run_all() {
         let budget = Duration::from_secs(60);
         timed(
@@ -578,6 +694,16 @@ mod checks {
             "killed_and_retried_dp_run_matches_the_unfaulted_run_bit_for_bit",
             Duration::from_secs(120),
             killed_and_retried_dp_run_matches_the_unfaulted_run_bit_for_bit,
+        );
+        timed(
+            "killed_and_retried_stochastic_dp_run_matches_the_calm_run",
+            Duration::from_secs(120),
+            killed_and_retried_stochastic_dp_run_matches_the_calm_run,
+        );
+        timed(
+            "deferred_writes_to_a_dead_peer_fail_typed_and_once",
+            Duration::from_secs(30),
+            deferred_writes_to_a_dead_peer_fail_typed_and_once,
         );
     }
 }

@@ -262,6 +262,47 @@ mod checks {
         println!("ok - dp_train_matches_threads_bit_exactly");
     }
 
+    /// Under a stochastic wire every gradient tensor draws from its own
+    /// fork of the rank's per-step stream, so the process and threaded DP
+    /// runs must still agree bit for bit: losses, every rank's final
+    /// parameters, and payload bytes.
+    fn dp_train_under_a_stochastic_wire_matches_threads() {
+        let wire = Wire::fp4(16);
+        let cfgs: Vec<TrainerConfig> = (0..2u64)
+            .map(|rank| {
+                let mut cfg = TrainerConfig::tiny();
+                cfg.data_seed = 700 + rank;
+                cfg
+            })
+            .collect();
+        let (steps, comm_seed) = (3, 0x5707);
+        let proc =
+            proc_data_parallel_train(&cfgs, steps, &wire, QuantizePolicy::EveryHop, comm_seed)
+                .expect("process dp train");
+        let trainers: Vec<Trainer> = cfgs
+            .iter()
+            .map(|c| Trainer::new(c.clone()).expect("trainer"))
+            .collect();
+        let (trained, losses, tstats) =
+            data_parallel_train(trainers, steps, &wire, QuantizePolicy::EveryHop, comm_seed);
+        assert_eq!(proc.losses, losses, "fp4: loss trajectories");
+        for (rank, (t, p)) in trained.iter().zip(&proc.params).enumerate() {
+            let mut flat = Vec::new();
+            let mut model = t.model.clone();
+            model.visit_params_mut(&mut |param| {
+                flat.extend_from_slice(param.value().as_slice());
+            });
+            assert_bits_equal(p, &flat, &format!("fp4 rank {rank} final params"));
+        }
+        assert_eq!(
+            proc.stats.total_payload_bytes(),
+            tstats.total_payload_bytes(),
+            "fp4: DP payload bytes"
+        );
+        assert!(proc.stats.two_sided(), "fp4: two-sided");
+        println!("ok - dp_train_under_a_stochastic_wire_matches_threads");
+    }
+
     /// A rank that dies pre-collective aborts the whole fabric via stream
     /// close: the launcher reports the root cause, not a peer's cascade,
     /// and nothing deadlocks.
@@ -303,6 +344,7 @@ mod checks {
         per_link_payloads_match_analytic_accounting();
         pipeline_p2p_matches_threads();
         dp_train_matches_threads_bit_exactly();
+        dp_train_under_a_stochastic_wire_matches_threads();
         dead_worker_aborts_the_fabric_with_the_root_cause();
         single_rank_process_fabric_is_a_no_op();
     }
